@@ -19,13 +19,35 @@ const ProcSet& RegVal::asSet() const {
   return std::get<ProcSet>(v_);
 }
 
+namespace {
+
+// One hash64() mixing round. Changing it changes every recorded trace hash.
+std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
+  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  return h;
+}
+
+// Alternative index seeds the hash so 0, false, {} and ⊥ all differ.
+std::uint64_t seedHash(std::size_t index) {
+  return mix(0xCBF29CE484222325ULL, index);
+}
+
+}  // namespace
+
 RegVal RegVal::tuple(std::vector<RegVal> elems) {
   Tuple t;
   t.size = elems.size();
   if (t.size > 0) {
-    // One allocation for control block + elements together.
-    std::shared_ptr<RegVal[]> buf = std::make_shared<RegVal[]>(t.size);
-    for (std::size_t i = 0; i < t.size; ++i) buf[i] = std::move(elems[i]);
+    // One allocation for control block + elements + the cached hash.
+    std::shared_ptr<RegVal[]> buf = std::make_shared<RegVal[]>(t.size + 1);
+    std::uint64_t h = mix(seedHash(kTupleIndex), t.size);
+    for (std::size_t i = 0; i < t.size; ++i) {
+      h = mix(h, elems[i].hash64());
+      buf[i] = std::move(elems[i]);
+    }
+    buf[t.size].v_ = static_cast<std::int64_t>(h);
     t.elems = std::move(buf);
   }
   RegVal r;
@@ -55,21 +77,14 @@ bool operator==(const RegVal& a, const RegVal& b) {
 }
 
 std::uint64_t RegVal::hash64() const {
-  // Alternative index seeds the hash so 0, false, {} and ⊥ all differ.
-  const auto mix = [](std::uint64_t h, std::uint64_t x) {
-    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xFF51AFD7ED558CCDULL;
-    h ^= h >> 33;
-    return h;
-  };
-  std::uint64_t h = mix(0xCBF29CE484222325ULL, v_.index());
+  const std::uint64_t h = seedHash(v_.index());
   if (isInt()) return mix(h, static_cast<std::uint64_t>(asInt()));
   if (isBool()) return mix(h, asBool() ? 2 : 1);
   if (isSet()) return mix(h, asSet().bits());
-  if (isTuple()) {
-    const auto& t = asTuple();
-    h = mix(h, t.size());
-    for (const auto& e : t) h = mix(h, e.hash64());
+  if (const Tuple* t = std::get_if<Tuple>(&v_)) {
+    if (t->size == 0) return mix(h, 0);
+    return static_cast<std::uint64_t>(
+        std::get<std::int64_t>(t->elems[t->size].v_));
   }
   return h;
 }

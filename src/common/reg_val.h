@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -80,6 +81,7 @@ class RegVal {
   // Stable structural 64-bit hash (tuples hashed element-wise). Used by
   // the trace hash (sim/trace.h) — must depend only on the value, never
   // on addresses, so that run hashes replay across processes/platforms.
+  // O(1) for every value: a tuple's hash is computed once, by tuple().
   [[nodiscard]] std::uint64_t hash64() const;
 
   // Deep structural equality (tuples compared element-wise).
@@ -87,18 +89,24 @@ class RegVal {
 
  private:
   // Immutable packed tuple payload: a single make_shared<RegVal[]>
-  // allocation holds the control block and the elements together (the
-  // previous shared_ptr<const vector<RegVal>> boxing cost two). Copies
+  // allocation holds the control block, the `size` elements and, in one
+  // trailing cell elems[size], the tuple's hash64() as an int. Copies
   // stay O(1); contents are never mutated after construction, so sharing
-  // is safe. Kept at the same variant index as the old representation so
-  // hash64() — and with it every recorded trace hash — is unchanged.
+  // is safe and the cached hash never goes stale. The empty tuple has no
+  // allocation and hashes on the spot. Kept at the same variant index as
+  // the old representation so hash64() — and with it every recorded trace
+  // hash — is unchanged.
   struct Tuple {
     std::shared_ptr<const RegVal[]> elems;
     std::size_t size = 0;
   };
 
   std::variant<std::monostate, std::int64_t, bool, ProcSet, Tuple> v_;
+  static constexpr std::size_t kTupleIndex = 4;
+  static_assert(std::is_same_v<
+                std::variant_alternative_t<kTupleIndex, decltype(v_)>, Tuple>);
 };
+static_assert(sizeof(RegVal) == 32, "RegVal is copied by value everywhere");
 
 inline bool operator!=(const RegVal& a, const RegVal& b) { return !(a == b); }
 

@@ -1,5 +1,8 @@
 #include "sim/object_table.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -28,60 +31,109 @@ std::string ObjKey::toString() const {
   return s;
 }
 
-ObjId ObjectTable::regId(const ObjKey& key) {
-  auto it = ids_.find(key);
-  if (it != ids_.end()) {
-    assert(objects_[static_cast<std::size_t>(it->second)].kind ==
-               Kind::kRegister &&
-           "object kind mismatch: register requested");
-    return it->second;
+std::uint64_t ObjectTable::keyHash(const ObjKey& key) {
+  // Word-at-a-time multiplicative hash of the key's bytes, then a full
+  // avalanche so the low bits that pick the probe start are well mixed.
+  static_assert(sizeof(ObjKey) % sizeof(std::uint64_t) == 0);
+  std::array<std::uint64_t, sizeof(ObjKey) / sizeof(std::uint64_t)> words;
+  std::memcpy(words.data(), &key, sizeof key);
+  std::uint64_t h = 0;
+  for (std::uint64_t w : words) {
+    h = (std::rotl(h, 5) ^ w) * 0x517CC1B727220A95ULL;
   }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  return h;
+}
+
+ObjId ObjectTable::lookup(const ObjKey& key, std::uint64_t hash) const {
+  if (index_.empty()) return kNone;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const IndexSlot& s = index_[i];
+    if (s.id == kNone) return kNone;
+    // A hash match is confirmed against the full key (byte equality is
+    // key equality: see ObjKey's static_asserts).
+    if (s.hash == hash &&
+        std::memcmp(&keys_[static_cast<std::size_t>(s.id)], &key,
+                    sizeof key) == 0) {
+      return s.id;
+    }
+  }
+}
+
+void ObjectTable::placeSlot(IndexSlot slot) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = slot.hash & mask;
+  while (index_[i].id != kNone) i = (i + 1) & mask;
+  index_[i] = slot;
+}
+
+ObjId ObjectTable::insertNew(const ObjKey& key, std::uint64_t hash,
+                             Object obj) {
   const ObjId id = static_cast<ObjId>(objects_.size());
-  objects_.push_back(Object{});
-  ids_.emplace(key, id);
+  // Keep the index at most half full: double it (re-placing every slot
+  // from its stored hash) before this insertion would cross the bound.
+  if (2 * (objects_.size() + 1) > index_.size()) {
+    std::vector<IndexSlot> old(std::max<std::size_t>(16, 2 * index_.size()));
+    old.swap(index_);
+    for (const IndexSlot& s : old) {
+      if (s.id != kNone) placeSlot(s);
+    }
+  }
+  placeSlot({hash, id});
+  keys_.push_back(key);
+  objects_.push_back(std::move(obj));
   xdigest_ ^= objectComponent(id, objects_.back());
   return id;
+}
+
+ObjId ObjectTable::regId(const ObjKey& key) {
+  const std::uint64_t hash = keyHash(key);
+  const ObjId found = lookup(key, hash);
+  if (found != kNone) {
+    assert(objects_[static_cast<std::size_t>(found)].kind ==
+               Kind::kRegister &&
+           "object kind mismatch: register requested");
+    return found;
+  }
+  return insertNew(key, hash, Object{});
 }
 
 ObjId ObjectTable::snapId(const ObjKey& key, int slots) {
   assert(slots > 0);
-  auto it = ids_.find(key);
-  if (it != ids_.end()) {
-    const auto& obj = objects_[static_cast<std::size_t>(it->second)];
+  const std::uint64_t hash = keyHash(key);
+  const ObjId found = lookup(key, hash);
+  if (found != kNone) {
+    const auto& obj = objects_[static_cast<std::size_t>(found)];
     assert(obj.kind == Kind::kSnapshot &&
            "object kind mismatch: snapshot requested");
     assert(static_cast<int>(obj.slots.size()) == slots &&
            "snapshot size mismatch across processes");
-    return it->second;
+    return found;
   }
-  const ObjId id = static_cast<ObjId>(objects_.size());
   Object obj;
   obj.kind = Kind::kSnapshot;
   obj.slots.resize(static_cast<std::size_t>(slots));
-  objects_.push_back(std::move(obj));
-  ids_.emplace(key, id);
-  xdigest_ ^= objectComponent(id, objects_.back());
-  return id;
+  return insertNew(key, hash, std::move(obj));
 }
 
 ObjId ObjectTable::consId(const ObjKey& key, int ports) {
   assert(ports > 0);
-  auto it = ids_.find(key);
-  if (it != ids_.end()) {
-    const auto& obj = objects_[static_cast<std::size_t>(it->second)];
+  const std::uint64_t hash = keyHash(key);
+  const ObjId found = lookup(key, hash);
+  if (found != kNone) {
+    const auto& obj = objects_[static_cast<std::size_t>(found)];
     assert(obj.kind == Kind::kConsensus &&
            "object kind mismatch: consensus requested");
     assert(obj.ports == ports && "consensus port limit mismatch");
-    return it->second;
+    return found;
   }
-  const ObjId id = static_cast<ObjId>(objects_.size());
   Object obj;
   obj.kind = Kind::kConsensus;
   obj.ports = ports;
-  objects_.push_back(std::move(obj));
-  ids_.emplace(key, id);
-  xdigest_ ^= objectComponent(id, objects_.back());
-  return id;
+  return insertNew(key, hash, std::move(obj));
 }
 
 const RegVal& ObjectTable::read(ObjId id) const {

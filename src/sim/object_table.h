@@ -9,9 +9,9 @@
 #pragma once
 
 #include <array>
-#include <compare>
-#include <map>
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/reg_val.h"
@@ -29,6 +29,10 @@ namespace wfd::sim {
 // coroutine call into the callee frame (double-destroying non-trivial
 // members). For a trivially copyable type the bitwise copy is correct by
 // definition, so the whole bug class is structurally excluded.
+//
+// The tag is zero-filled past its NUL and the layout has no padding, so
+// two keys are equal exactly when their bytes are: the object index
+// hashes and compares keys as raw memory (see the static_asserts below).
 struct ObjKey {
   static constexpr std::size_t kTagCap = 32;  // incl. NUL
 
@@ -49,10 +53,12 @@ struct ObjKey {
   void append(const char* s);
   void append(int n);
 
-  auto operator<=>(const ObjKey&) const = default;
+  bool operator==(const ObjKey&) const = default;
   [[nodiscard]] std::string toString() const;
 };
 static_assert(std::is_trivially_copyable_v<ObjKey>);
+static_assert(std::has_unique_object_representations_v<ObjKey>,
+              "ObjKey equality must coincide with byte equality");
 
 // How an object was touched — reported to the access observer below.
 enum class ObjectAccess { kRead, kWrite, kScan, kUpdate, kPropose };
@@ -101,31 +107,44 @@ class ObjectTable {
     int ports = 0;                 // consensus: max distinct proposers
   };
 
+  // No object: a free index slot, or the result of a failed lookup.
+  static constexpr ObjId kNone = -1;
+  // One slot of the open-addressing name index: the key's hash and the
+  // id it names (kNone when free). The key itself lives in keys_.
+  struct IndexSlot {
+    std::uint64_t hash = 0;
+    ObjId id = kNone;
+  };
+
  public:
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
-  // A Snapshot deep-copies the key map and object vector; the RegVal
-  // payloads inside (tuple cells) are immutable shared arrays, so the copy
-  // shares them — O(1) per stored value. The access observer is part of
-  // the *run's* wiring, not the memory state, and survives a restore.
+  // A Snapshot copies the flat name index, the key vector and the object
+  // vector; the RegVal payloads inside (tuple cells) are immutable shared
+  // arrays, so the copy shares them — O(1) per stored value. The access
+  // observer is part of the *run's* wiring, not the memory state, and
+  // survives a restore.
   class Snapshot {
    public:
     Snapshot() = default;
 
    private:
     friend class ObjectTable;
-    std::map<ObjKey, ObjId> ids;
+    std::vector<IndexSlot> index;
+    std::vector<ObjKey> keys;
     std::vector<Object> objects;
     std::uint64_t xdigest = 0;
   };
   [[nodiscard]] Snapshot snapshot() const {
     Snapshot s;
-    s.ids = ids_;
+    s.index = index_;
+    s.keys = keys_;
     s.objects = objects_;
     s.xdigest = xdigest_;
     return s;
   }
   void restore(const Snapshot& s) {
-    ids_ = s.ids;
+    index_ = s.index;
+    keys_ = s.keys;
     objects_ = s.objects;
     xdigest_ = s.xdigest;
   }
@@ -172,7 +191,21 @@ class ObjectTable {
   // mutation and back in after, so xdigest_ tracks the whole table.
   [[nodiscard]] static std::uint64_t objectComponent(ObjId id,
                                                      const Object& obj);
-  std::map<ObjKey, ObjId> ids_;
+
+  // ---- Name index ----
+  // Open addressing with linear probing over a power-of-two slot array
+  // kept at most half full. Ids are still handed out in creation order
+  // (objects_.size()), so the index layout never leaks into an id, a
+  // trace hash or a contents digest.
+  [[nodiscard]] static std::uint64_t keyHash(const ObjKey& key);
+  // The id named by `key` (whose hash is `hash`), or kNone.
+  [[nodiscard]] ObjId lookup(const ObjKey& key, std::uint64_t hash) const;
+  // Appends a new object under `key` (known to be absent) and returns its id.
+  ObjId insertNew(const ObjKey& key, std::uint64_t hash, Object obj);
+  void placeSlot(IndexSlot slot);
+
+  std::vector<IndexSlot> index_;
+  std::vector<ObjKey> keys_;  // by ObjId
   std::vector<Object> objects_;
   std::uint64_t xdigest_ = 0;
   AccessObserver* observer_ = nullptr;

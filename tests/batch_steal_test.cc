@@ -11,13 +11,12 @@
 //   * balance: stealing's step makespan (max per-worker simulation steps,
 //     sim/batch.h) beats static sharding by >= 1.5x — the deterministic
 //     form of the wall-clock win, measurable on any host. Wall time itself
-//     is only asserted when the machine really has >= 4 cores;
+//     is never asserted (bench_batch reports it);
 //   * isolation: a cell that throws after being stolen mid-campaign yields
 //     a structured error slot while every stolen neighbor completes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 
 #include "test_util.h"
 
@@ -133,15 +132,11 @@ TEST(BatchSteal, StealingBeatsStaticShardingOnTheHeavyTail) {
   ASSERT_GT(static_stats.stepMakespan(), 0);
 
   long long best_steal_makespan = 0;
-  double best_steal_wall = -1;
   for (int attempt = 0; attempt < 3; ++attempt) {
     BatchStats stats;
     (void)stealer.run(cells, &stats);
     if (best_steal_makespan == 0 || stats.stepMakespan() < best_steal_makespan) {
       best_steal_makespan = stats.stepMakespan();
-    }
-    if (best_steal_wall < 0 || stats.wall_s < best_steal_wall) {
-      best_steal_wall = stats.wall_s;
     }
   }
   ASSERT_GT(best_steal_makespan, 0);
@@ -156,21 +151,10 @@ TEST(BatchSteal, StealingBeatsStaticShardingOnTheHeavyTail) {
       << "static makespan " << static_stats.stepMakespan() << ", steal "
       << best_steal_makespan;
 
-  // Wall clock only shows the win when the pool really has its own cores.
-  if (std::thread::hardware_concurrency() >= 4) {
-    BatchStats timed_static;
-    double best_static_wall = -1;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      BatchStats stats;
-      (void)statics.run(cells, &stats);
-      if (best_static_wall < 0 || stats.wall_s < best_static_wall) {
-        best_static_wall = stats.wall_s;
-        timed_static = stats;
-      }
-    }
-    EXPECT_LT(best_steal_wall, best_static_wall)
-        << "stealing should beat static sharding wall time on >= 4 cores";
-  }
+  // No wall-clock assertion: under a loaded host (parallel ctest) the
+  // cores are not the pool's own, so the comparison would depend on the
+  // machine rather than the source. bench_batch (EXPERIMENTS.md E17)
+  // reports the wall ratio.
 }
 
 TEST(BatchSteal, ThrowingCellIsIsolatedEvenWhenStolen) {

@@ -140,6 +140,112 @@ TEST(ObjectTable, SnapshotSlotsInitializeBottom) {
   EXPECT_EQ(tbl.scan(s)[2].asInt(), 5);
 }
 
+// Resolves `key` as the kind chosen by `i` (register, 3-slot snapshot or
+// 2-port consensus object).
+ObjId resolveMixed(sim::ObjectTable& tbl, const ObjKey& key, int i) {
+  switch (i % 3) {
+    case 0: return tbl.regId(key);
+    case 1: return tbl.snapId(key, 3);
+    default: return tbl.consId(key, 2);
+  }
+}
+
+ObjKey mixedKey(int i) {
+  ObjKey k{i % 2 == 0 ? "grow.even" : "grow.odd", i % 7, i / 7};
+  if (i % 5 == 0) k.append(".A");
+  return k;
+}
+
+TEST(ObjectTable, IdsFollowCreationOrderAcrossIndexGrowth) {
+  sim::ObjectTable tbl;
+  constexpr int kKeys = 5000;
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(resolveMixed(tbl, mixedKey(i), i), i);
+  }
+  EXPECT_EQ(tbl.objectCount(), static_cast<std::size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(resolveMixed(tbl, mixedKey(i), i), i);
+  }
+  EXPECT_EQ(tbl.objectCount(), static_cast<std::size_t>(kKeys));
+}
+
+TEST(ObjectTable, NearlyEqualKeysGetDistinctIds) {
+  sim::ObjectTable tbl;
+  std::vector<ObjKey> keys;
+  // Differ in exactly one index position.
+  keys.push_back(ObjKey{"d", 1, 2, 3, 4});
+  keys.push_back(ObjKey{"d", 9, 2, 3, 4});
+  keys.push_back(ObjKey{"d", 1, 9, 3, 4});
+  keys.push_back(ObjKey{"d", 1, 2, 9, 4});
+  keys.push_back(ObjKey{"d", 1, 2, 3, 9});
+  // Differ only in a tag suffix.
+  ObjKey a{"conv", 3, 1};
+  a.append(".A");
+  ObjKey b{"conv", 3, 1};
+  b.append(".B");
+  keys.push_back(a);
+  keys.push_back(b);
+  // Differ only in -1 (absent) vs 0.
+  keys.push_back(ObjKey{"z"});
+  keys.push_back(ObjKey{"z", 0});
+  keys.push_back(ObjKey{"z", 0, 0});
+  keys.push_back(ObjKey{"z", -1, 0});
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(tbl.regId(keys[i]), static_cast<ObjId>(i)) << keys[i].toString();
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(tbl.regId(keys[i]), static_cast<ObjId>(i)) << keys[i].toString();
+  }
+  EXPECT_EQ(tbl.objectCount(), keys.size());
+}
+
+TEST(ObjectTable, RestoreAcrossIndexGrowthReproducesIdsAndDigests) {
+  sim::ObjectTable tbl;
+  for (int i = 0; i < 5; ++i) {
+    tbl.write(tbl.regId(ObjKey{"pre", i}), RegVal(Value{i}));
+  }
+  const auto snap = tbl.snapshot();
+  const std::uint64_t snap_xor = tbl.xorContentsDigest();
+
+  // Grow the index several times past the snapshot's size.
+  const auto fill = [&tbl] {
+    std::vector<ObjId> ids;
+    for (int i = 0; i < 300; ++i) {
+      const ObjId id = resolveMixed(tbl, mixedKey(i), i);
+      if (i % 3 == 0) tbl.write(id, RegVal(Value{i}));
+      ids.push_back(id);
+    }
+    return ids;
+  };
+  const std::vector<ObjId> first = fill();
+  const std::uint64_t grown_xor = tbl.xorContentsDigest();
+  const std::uint64_t grown_full = tbl.xorContentsDigestFull();
+  const std::uint64_t grown_contents = tbl.contentsDigest();
+
+  tbl.restore(snap);
+  EXPECT_EQ(tbl.objectCount(), 5u);
+  EXPECT_EQ(tbl.xorContentsDigest(), snap_xor);
+  EXPECT_EQ(tbl.xorContentsDigestFull(), snap_xor);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(tbl.regId(ObjKey{"pre", i}), i);
+
+  EXPECT_EQ(fill(), first);
+  EXPECT_EQ(tbl.xorContentsDigest(), grown_xor);
+  EXPECT_EQ(tbl.xorContentsDigestFull(), grown_full);
+  EXPECT_EQ(tbl.contentsDigest(), grown_contents);
+}
+
+TEST(ObjectTable, MismatchedKindSizeOrPortsAsserts) {
+  sim::ObjectTable tbl;
+  (void)tbl.regId(ObjKey{"r"});
+  (void)tbl.snapId(ObjKey{"s"}, 3);
+  (void)tbl.consId(ObjKey{"c"}, 2);
+  EXPECT_DEATH((void)tbl.snapId(ObjKey{"r"}, 3), "kind mismatch");
+  EXPECT_DEATH((void)tbl.consId(ObjKey{"r"}, 2), "kind mismatch");
+  EXPECT_DEATH((void)tbl.regId(ObjKey{"s"}), "kind mismatch");
+  EXPECT_DEATH((void)tbl.snapId(ObjKey{"s"}, 4), "size mismatch");
+  EXPECT_DEATH((void)tbl.consId(ObjKey{"c"}, 3), "port limit mismatch");
+}
+
 TEST(ObjKey, AppendBuildsDistinctNames) {
   ObjKey k{"conv", 3, 1};
   ObjKey a = k;
