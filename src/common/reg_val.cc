@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/mix.h"
+
 namespace wfd {
 
 std::int64_t RegVal::asInt() const {
@@ -21,17 +23,9 @@ const ProcSet& RegVal::asSet() const {
 
 namespace {
 
-// One hash64() mixing round. Changing it changes every recorded trace hash.
-std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
-}
-
 // Alternative index seeds the hash so 0, false, {} and ⊥ all differ.
 std::uint64_t seedHash(std::size_t index) {
-  return mix(0xCBF29CE484222325ULL, index);
+  return mixDigest(0xCBF29CE484222325ULL, index);
 }
 
 }  // namespace
@@ -42,9 +36,9 @@ RegVal RegVal::tuple(std::vector<RegVal> elems) {
   if (t.size > 0) {
     // One allocation for control block + elements + the cached hash.
     std::shared_ptr<RegVal[]> buf = std::make_shared<RegVal[]>(t.size + 1);
-    std::uint64_t h = mix(seedHash(kTupleIndex), t.size);
+    std::uint64_t h = mixDigest(seedHash(kTupleIndex), t.size);
     for (std::size_t i = 0; i < t.size; ++i) {
-      h = mix(h, elems[i].hash64());
+      h = mixDigest(h, elems[i].hash64());
       buf[i] = std::move(elems[i]);
     }
     buf[t.size].v_ = static_cast<std::int64_t>(h);
@@ -78,11 +72,11 @@ bool operator==(const RegVal& a, const RegVal& b) {
 
 std::uint64_t RegVal::hash64() const {
   const std::uint64_t h = seedHash(v_.index());
-  if (isInt()) return mix(h, static_cast<std::uint64_t>(asInt()));
-  if (isBool()) return mix(h, asBool() ? 2 : 1);
-  if (isSet()) return mix(h, asSet().bits());
+  if (isInt()) return mixDigest(h, static_cast<std::uint64_t>(asInt()));
+  if (isBool()) return mixDigest(h, asBool() ? 2 : 1);
+  if (isSet()) return mixDigest(h, asSet().bits());
   if (const Tuple* t = std::get_if<Tuple>(&v_)) {
-    if (t->size == 0) return mix(h, 0);
+    if (t->size == 0) return mixDigest(h, 0);
     return static_cast<std::uint64_t>(
         std::get<std::int64_t>(t->elems[t->size].v_));
   }

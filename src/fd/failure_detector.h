@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 
+#include "common/mix.h"
 #include "common/proc_set.h"
 #include "common/types.h"
 #include "sim/failure_pattern.h"
@@ -31,15 +32,9 @@ using sim::FailurePattern;
 // excluded from whole-run memoization (sim/report_cache.h).
 inline constexpr std::uint64_t kOpaqueFdDigest = 0;
 
-// One round of splitmix64-style mixing — the same round Trace and RegVal
-// use — so detector digests compose with the trace-hash machinery.
-[[nodiscard]] constexpr std::uint64_t mixDigest(std::uint64_t h,
-                                                std::uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
-}
+// Detector digests fold the library's one mixing round (common/mix.h),
+// so they compose with the trace-hash machinery.
+using ::wfd::mixDigest;
 
 [[nodiscard]] inline std::uint64_t digestString(std::uint64_t h,
                                                 const std::string& s) {

@@ -377,13 +377,7 @@ RunReport runChaosTask(const RunConfig& cfg, const ChaosConfig& chaos,
   // and checked after the run instead.
   if (!wrapped.audit.has_value()) wrapped.audit = AuditMode::kThrow;
   Run run(wrapped, algo, proposals);
-  std::unique_ptr<SchedulePolicy> policy;
-  if (wrapped.policy == PolicyKind::kRoundRobin) {
-    policy = std::make_unique<RoundRobinPolicy>();
-  } else {
-    policy = std::make_unique<RandomPolicy>();
-  }
-  return driveWatched(run, *policy, wd, &engine);
+  return driveWatched(run, *makePolicy(wrapped.policy), wd, &engine);
 }
 
 }  // namespace wfd::sim

@@ -9,11 +9,10 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "fd/failure_detector.h"
-#include "sim/explore_pool.h"
 #include "sim/report_cache.h"
+#include "sim/steal_pool.h"
 
 namespace wfd::sim {
 
@@ -90,17 +89,17 @@ bool dependent(const OpFootprint& a, bool a_vis, const OpFootprint& b,
 // like the full recompute below, so kDag can unify converging schedules.
 
 std::uint64_t clockComponent(Time now) {
-  return stateMix64(0x243F6A8885A308D3ULL, static_cast<std::uint64_t>(now));
+  return mixDigest(0x243F6A8885A308D3ULL, static_cast<std::uint64_t>(now));
 }
 
 std::uint64_t procComponent(Run& run, Pid p) {
   const ProcCtx& c = run.scheduler().ctx(p);
   std::uint64_t h =
-      stateMix64(0x3C6EF372FE94F82BULL, static_cast<std::uint64_t>(p) + 1);
-  h = stateMix64(h, static_cast<std::uint64_t>(c.steps));
-  h = stateMix64(h, c.done ? 2u : 1u);
-  h = stateMix64(h, run.scheduler().resultDigest(p));
-  h = stateMix64(h, run.world().published(p).hash64());
+      mixDigest(0x3C6EF372FE94F82BULL, static_cast<std::uint64_t>(p) + 1);
+  h = mixDigest(h, static_cast<std::uint64_t>(c.steps));
+  h = mixDigest(h, c.done ? 2u : 1u);
+  h = mixDigest(h, run.scheduler().resultDigest(p));
+  h = mixDigest(h, run.world().published(p).hash64());
   return h;
 }
 
@@ -133,11 +132,11 @@ ExploreOutcome harvestOutcome(Run& run, int n) {
   }
   std::uint64_t h = 0x452821E638D01377ULL;
   for (int p = 0; p < n; ++p) {
-    h = stateMix64(h, static_cast<std::uint64_t>(p) + 0xABCDULL);
+    h = mixDigest(h, static_cast<std::uint64_t>(p) + 0xABCDULL);
     for (const Event* e : per[static_cast<std::size_t>(p)]) {
-      h = stateMix64(h, static_cast<std::uint64_t>(e->kind) + 1);
-      h = stateMix64(h, labelHash(e->label));
-      h = stateMix64(h, e->value.hash64());
+      h = mixDigest(h, static_cast<std::uint64_t>(e->kind) + 1);
+      h = mixDigest(h, labelHash(e->label));
+      h = mixDigest(h, e->value.hash64());
       o.events.push_back(*e);
     }
   }
@@ -917,25 +916,8 @@ ExploreResult exploreFrontier(const ExploreConfig& cfg, const AlgoFn& algo,
     }
   };
 
-  if (cfg.steal) {
-    const ExplorePool::Stats st =
-        ExplorePool::run(jobs.size(), workers, body);
-    res.steal_ops = st.steal_ops;
-  } else {
-    const int w = res.jobs_used;
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(w));
-    for (int k = 0; k < w; ++k) {
-      const std::size_t lo = jobs.size() * static_cast<std::size_t>(k) /
-                             static_cast<std::size_t>(w);
-      const std::size_t hi = jobs.size() * static_cast<std::size_t>(k + 1) /
-                             static_cast<std::size_t>(w);
-      threads.emplace_back([&body, lo, hi, k] {
-        for (std::size_t i = lo; i < hi; ++i) body(i, k);
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
+  res.steal_ops = StealPool::run(jobs.size(), workers, cfg.steal, body)
+                      .steal_ops;
   if (first_err) std::rethrow_exception(first_err);
 
   // Deterministic merge, in job-index (= DFS) order. Under

@@ -10,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/mix.h"
 #include "common/reg_val.h"
 #include "common/types.h"
 
@@ -143,19 +144,10 @@ struct OpFootprint {
   return false;
 }
 
-// One round of splitmix64-style mixing for STATE digests (explorer
-// memoization keys, per-process result-stream digests, object-table
-// contents). Same shape as the trace's history mix but deliberately a
-// separate definition: state digests are order-insensitive keys, the trace
-// digest is a history key, and neither may silently inherit changes to the
-// other.
-[[nodiscard]] inline std::uint64_t stateMix64(std::uint64_t h,
-                                              std::uint64_t x) {
-  h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
-}
+// State digests (explorer memo keys, result-stream digests, object-table
+// contents) fold common/mix.h's round, like the trace history digest. The
+// golden grid, the pinned RegVal hashes and the explorer baseline's memo
+// counters pin both, so an edit to the round fails them at once.
 
 // ---- Stable signatures ----------------------------------------------------
 //

@@ -118,16 +118,18 @@ std::optional<AuditMode> resolvedAuditMode(
   return audit.has_value() ? audit : envAuditMode();
 }
 
+std::unique_ptr<SchedulePolicy> makePolicy(PolicyKind kind) {
+  if (kind == PolicyKind::kRoundRobin) {
+    return std::make_unique<RoundRobinPolicy>();
+  }
+  return std::make_unique<RandomPolicy>();
+}
+
 RunResult runTask(const RunConfig& cfg, const AlgoFn& algo,
                   const std::vector<Value>& proposals) {
   Run run(cfg, algo, proposals);
-  std::unique_ptr<SchedulePolicy> policy;
-  if (cfg.policy == PolicyKind::kRoundRobin) {
-    policy = std::make_unique<RoundRobinPolicy>();
-  } else {
-    policy = std::make_unique<RandomPolicy>();
-  }
-  const Time taken = run.scheduler().run(*policy, cfg.max_steps);
+  const Time taken =
+      run.scheduler().run(*makePolicy(cfg.policy), cfg.max_steps);
   return run.finish(taken);
 }
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "sim/drive.h"
+
 namespace wfd::sim {
 
 ProcCtx*& currentProc() {
@@ -198,7 +200,7 @@ void Scheduler::step(Pid p) {
       // Copy before the resume below moves the result into the awaiter.
       result_log_[static_cast<std::size_t>(p)].push_back(slot.ctx.result);
       auto& digest = result_digest_[static_cast<std::size_t>(p)];
-      digest = stateMix64(digest, resultSignature(slot.ctx.result));
+      digest = mixDigest(digest, resultSignature(slot.ctx.result));
     }
     slot.ctx.pending.reset();
     runUntilBlockedOrDone();
@@ -317,19 +319,11 @@ void Scheduler::restore(const Checkpoint& ck,
 }
 
 Time Scheduler::run(SchedulePolicy& policy, Time max_steps) {
-  Time taken = 0;
-  while (taken < max_steps) {
-    // One sync covers both checks and the policy call below; runnable()
-    // and allCorrectDone() are not re-entered per step.
-    syncLiveness();
-    if (correct_undone_ == 0) break;
-    if (runnable_.empty()) break;  // every live process finished
-    const Pid p = policy.next(runnable_, *world_, rng_);
-    assert(runnable_.contains(p) && "policy chose a non-runnable process");
-    step(p);
-    ++taken;
-  }
-  return taken;
+  DriveCursor at;
+  DriveOutcome out;
+  driveLoop<NoHook, NoHook>(*this, *world_, policy, DriveLimits{max_steps}, at,
+                            out, nullptr, nullptr);
+  return at.steps;
 }
 
 }  // namespace wfd::sim

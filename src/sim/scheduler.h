@@ -117,7 +117,8 @@ class Scheduler {
   void step(Pid p);
 
   // Run under `policy` until all correct processes finished or max_steps
-  // elapsed. Returns steps taken.
+  // elapsed. Returns steps taken. The hook-free instantiation of the one
+  // drive loop (sim/drive.h).
   Time run(SchedulePolicy& policy, Time max_steps);
 
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
@@ -170,9 +171,9 @@ class Scheduler {
     return slots_.at(static_cast<std::size_t>(p))->ctx;  // model-lint-allow: cold inspection accessor
   }
 
-  // The run's policy RNG (seeded from RunConfig::seed). External drivers
-  // (sim/watchdog.h) draw from it so a watchdog-driven run replays the
-  // exact schedule Scheduler::run would produce.
+  // The run's policy RNG (seeded from RunConfig::seed). Every drive loop
+  // instantiation (sim/drive.h) draws from it, so a watched run without
+  // chaos replays the exact schedule Scheduler::run would produce.
   [[nodiscard]] Rng& rng() { return rng_; }
 
  private:

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -13,6 +15,7 @@
 #include "core/upsilon_set_agreement.h"
 #include "fd/omega.h"
 #include "fd/upsilon.h"
+#include "sim/drive.h"
 
 namespace wfd::sim::service {
 
@@ -90,7 +93,7 @@ AlgoFn makeServiceAlgo(
   };
 }
 
-// ---- Segment drive loop --------------------------------------------------
+// ---- Segment drive --------------------------------------------------------
 
 struct SegmentOutcome {
   RunVerdict verdict = RunVerdict::kOk;
@@ -104,41 +107,39 @@ struct SegmentOutcome {
   std::vector<std::vector<Time>> note_step;
 };
 
-// Drives one segment Run to a verdict, mirroring driveWatched's loop
-// (policy draws from the run's own RNG; chaos beforeStep/filterRunnable;
-// end-of-run audit close) but harvesting per-instance commit notes
-// incrementally — and, when `record_marks` is set, taking a Run
-// checkpoint at every instance-commit boundary so runCrashSweep can
-// restore the shared prefix instead of re-executing it.
+// Drives one segment Run through the shared drive loop (sim/drive.h) as
+// its observer: harvests per-instance commit notes as they land and, when
+// `record_marks` is set, takes a Run checkpoint at every instance-commit
+// boundary so runCrashSweep can restore the shared prefix instead of
+// re-executing it.
 class SegmentDriver {
  public:
-  SegmentDriver(Run& run, SchedulePolicy& policy, Time budget,
+  SegmentDriver(Run& run, SchedulePolicy& policy, DriveLimits limits,
                 ChaosEngine* chaos, int group, int len, bool record_marks)
       : run_(run),
         policy_(policy),
-        budget_(budget),
+        limits_(limits),
         chaos_(chaos),
-        group_(group),
         len_(len),
         record_marks_(record_marks) {
     assert(!(record_marks_ && chaos_ != nullptr));  // marks need pure state
-    noted_.assign(static_cast<std::size_t>(group_),
+    noted_.assign(static_cast<std::size_t>(group),
                   std::vector<Value>(static_cast<std::size_t>(len_),
                                      kBottomValue));
-    note_step_.assign(static_cast<std::size_t>(group_),
+    note_step_.assign(static_cast<std::size_t>(group),
                       std::vector<Time>(static_cast<std::size_t>(len_), 0));
     if (record_marks_) {
       run_.enableCheckpoints();
-      marks_.push_back(takeMark());  // mark 0: before any step
-    }
-    if (chaos_ != nullptr && chaos_->wantsScanOverride()) {
-      ChaosEngine* c = chaos_;
-      run_.world().setScanOverride(
-          [c](Pid p, ObjId obj) { return c->overrideScan(p, obj); });
+      marks_.push_back(takeMark(at_));  // mark 0: before any step
     }
   }
 
-  SegmentOutcome drive() { return loop(); }
+  SegmentOutcome drive() {
+    DriveOutcome d = driveRun(run_, policy_, limits_, at_, chaos_, *this);
+    return SegmentOutcome{d.verdict, std::move(d.detail), at_.steps,
+                          run_.world().trace().hash64(),
+                          run_.world().pattern(), noted_, note_step_};
+  }
 
   // Sweep variant: rewind to the state where exactly `b` instances had
   // committed (instance b in flight), crash `victim`, drive to a fresh
@@ -150,143 +151,68 @@ class SegmentDriver {
     const Mark& m = marks_[static_cast<std::size_t>(b)];
     run_.restore(m.ck);
     ++restores_;
-    steps_ = m.steps;
-    last_scanned_ = m.scanned;
+    at_ = m.at;
     boundary_ = m.boundary;
     noted_ = m.noted;
     note_step_ = m.note_step;
     record_marks_ = false;  // the variant suffix must not extend the marks
     run_.world().injectCrash(victim);
-    SegmentOutcome out = loop();
+    SegmentOutcome out = drive();
     record_marks_ = true;
     return out;
   }
 
   [[nodiscard]] long long restores() const { return restores_; }
 
+  // Drive-loop observer: record every "c<s>" commit note, then mark each
+  // instance boundary every replica has passed. Never stops the run.
+  bool onEvents(std::span<const Event> fresh, const DriveCursor& at,
+                DriveOutcome&) {
+    for (const Event& e : fresh) {
+      const char* const end = e.label.data() + e.label.size();
+      int s = -1;
+      if (e.kind != EventKind::kNote || e.label.size() < 2 ||
+          e.label[0] != 'c' ||
+          std::from_chars(e.label.data() + 1, end, s).ptr != end || s < 0 ||
+          s >= len_) {
+        continue;
+      }
+      const auto slot = static_cast<std::size_t>(e.pid);
+      noted_[slot][static_cast<std::size_t>(s)] = e.value.asInt();
+      note_step_[slot][static_cast<std::size_t>(s)] = e.time;
+    }
+    const auto all_noted = [this](int s) {
+      return std::all_of(noted_.begin(), noted_.end(), [s](const auto& row) {
+        return row[static_cast<std::size_t>(s)] != kBottomValue;
+      });
+    };
+    while (record_marks_ && boundary_ < len_ && all_noted(boundary_)) {
+      ++boundary_;
+      marks_.push_back(takeMark(at));
+    }
+    return false;
+  }
+
  private:
   struct Mark {
     RunCheckpoint ck;
-    Time steps = 0;
-    std::size_t scanned = 0;
+    DriveCursor at;
     int boundary = 0;  // instances committed when the mark was taken
     std::vector<std::vector<Value>> noted;
     std::vector<std::vector<Time>> note_step;
   };
 
-  Mark takeMark() const {
-    return Mark{run_.checkpoint(), steps_, last_scanned_, boundary_, noted_,
-                note_step_};
-  }
-
-  bool scanTrace() {
-    const auto& evs = run_.world().trace().events();
-    const bool progressed = evs.size() > last_scanned_;
-    for (; last_scanned_ < evs.size(); ++last_scanned_) {
-      const Event& e = evs[last_scanned_];
-      if (e.kind != EventKind::kNote || e.label.size() < 2 ||
-          e.label[0] != 'c') {
-        continue;
-      }
-      int s = 0;
-      bool digits = true;
-      for (std::size_t i = 1; i < e.label.size(); ++i) {
-        const char ch = e.label[i];
-        if (ch < '0' || ch > '9') {
-          digits = false;
-          break;
-        }
-        s = s * 10 + (ch - '0');
-      }
-      if (!digits || s >= len_) continue;
-      const auto slot = static_cast<std::size_t>(e.pid);
-      noted_[slot][static_cast<std::size_t>(s)] = e.value.asInt();
-      note_step_[slot][static_cast<std::size_t>(s)] = e.time;
-    }
-    if (record_marks_) {
-      while (boundary_ < len_) {
-        bool all = true;
-        for (int slot = 0; slot < group_; ++slot) {
-          if (noted_[static_cast<std::size_t>(slot)]
-                    [static_cast<std::size_t>(boundary_)] == kBottomValue) {
-            all = false;
-            break;
-          }
-        }
-        if (!all) break;
-        ++boundary_;
-        marks_.push_back(takeMark());
-      }
-    }
-    return progressed;
-  }
-
-  SegmentOutcome loop() {
-    SegmentOutcome out;
-    World& world = run_.world();
-    Scheduler& sched = run_.scheduler();
-    Time last_progress = steps_;
-    while (true) {
-      if (sched.allCorrectDone()) break;
-      if (steps_ >= budget_) {
-        out.verdict = RunVerdict::kBudgetExhausted;
-        out.detail = "segment step budget " + std::to_string(budget_) +
-                     " exhausted before all live replicas finished";
-        break;
-      }
-      if (chaos_ != nullptr) chaos_->beforeStep(world, sched);
-      const ProcSet runnable = sched.runnable();
-      if (runnable.empty()) break;
-      const ProcSet pick_from =
-          chaos_ != nullptr ? chaos_->filterRunnable(runnable, world, sched)
-                            : runnable;
-      const Pid p = policy_.next(pick_from, world, sched.rng());
-      try {
-        sched.step(p);
-      } catch (const StepAuditError& e) {
-        out.verdict = RunVerdict::kAxiomViolation;
-        out.detail = e.what();
-        break;
-      }
-      ++steps_;
-      if (scanTrace()) last_progress = steps_;
-      (void)last_progress;
-    }
-    // Close the audit window unconditionally (see sim/watchdog.cc): the
-    // end-of-run FD-axiom conditions may throw in kThrow mode and must
-    // demote the verdict, never escape.
-    try {
-      world.endAuditObservation();
-    } catch (const StepAuditError& e) {
-      if (out.verdict != RunVerdict::kSafetyViolation) {
-        out.verdict = RunVerdict::kAxiomViolation;
-        out.detail = e.what();
-      }
-    }
-    if (out.verdict == RunVerdict::kOk) {
-      if (const StepAuditor* a = world.auditor();
-          a != nullptr && !a->clean()) {
-        out.verdict = RunVerdict::kAxiomViolation;
-        out.detail = a->violations().front().toString();
-      }
-    }
-    out.steps = steps_;
-    out.trace_hash = world.trace().hash64();
-    out.fp = world.pattern();
-    out.noted = noted_;
-    out.note_step = note_step_;
-    return out;
+  Mark takeMark(const DriveCursor& at) const {
+    return Mark{run_.checkpoint(), at, boundary_, noted_, note_step_};
   }
 
   Run& run_;
   SchedulePolicy& policy_;
-  Time budget_;
+  DriveLimits limits_;
   ChaosEngine* chaos_;
-  int group_;
   int len_;
   bool record_marks_;
-  Time steps_ = 0;
-  std::size_t last_scanned_ = 0;
+  DriveCursor at_;
   int boundary_ = 0;
   std::vector<std::vector<Value>> noted_;
   std::vector<std::vector<Time>> note_step_;
@@ -356,8 +282,7 @@ class ServiceDriver {
   void runOneSegment(State& st) {
     refillInbox(st);
     Segment seg = prepareSegment(st);
-    RandomPolicy& policy = static_cast<RandomPolicy&>(*seg.policy);
-    SegmentDriver sd(*seg.run, policy, segmentBudget(seg.plan.len),
+    SegmentDriver sd(*seg.run, *seg.policy, segmentLimits(seg.plan.len),
                      seg.engine.get(), cfg_.group, seg.plan.len,
                      /*record_marks=*/false);
     SegmentOutcome out = sd.drive();
@@ -387,6 +312,13 @@ class ServiceDriver {
   [[nodiscard]] Time segmentBudget(int len) const {
     return cfg_.segment_budget_slack +
            cfg_.instance_step_budget * static_cast<Time>(len);
+  }
+
+  // A segment that goes one instance budget without a new trace event is
+  // stuck (no replica notes, decides or publishes): livelock, retried like
+  // a budget cutoff, long before the whole segment budget is spent.
+  [[nodiscard]] DriveLimits segmentLimits(int len) const {
+    return DriveLimits{segmentBudget(len), cfg_.instance_step_budget};
   }
 
   // Pure function of (cfg, st): build the next segment attempt. Instance
@@ -716,7 +648,9 @@ class ServiceDriver {
         st.verdict = ServiceVerdict::kStalled;
         st.detail = "commit point stuck at instance " +
                     std::to_string(st.committed) + " after " +
-                    std::to_string(cfg_.max_retries) + " retries";
+                    std::to_string(cfg_.max_retries) +
+                    " retries (last segment: " + runVerdictName(out.verdict) +
+                    ")";
         return;
       }
       ++st.stats.retries;
@@ -862,7 +796,7 @@ SweepReport runCrashSweep(const ServiceConfig& cfg) {
     d.refillInbox(st);
     const ServiceDriver::State entry = st;  // fork point for the variants
     Segment seg = d.prepareSegment(st);
-    SegmentDriver sd(*seg.run, *seg.policy, d.segmentBudget(seg.plan.len),
+    SegmentDriver sd(*seg.run, *seg.policy, d.segmentLimits(seg.plan.len),
                      nullptr, cfg.group, seg.plan.len, /*record_marks=*/true);
     const SegmentOutcome base_out = sd.drive();
     if (base_out.verdict != RunVerdict::kOk) {

@@ -23,15 +23,15 @@ std::vector<RegVal> Trace::publishedAt(Time t, int n_plus_1) const {
 
 std::uint64_t Trace::hash64() const {
   std::uint64_t h = op_digest_;
-  h = mix(h, ops_mixed_);
-  h = mix(h, events_.size());
+  h = mixDigest(h, ops_mixed_);
+  h = mixDigest(h, events_.size());
   for (const auto& e : events_) {
-    h = mix(h, static_cast<std::uint64_t>(e.time));
-    h = mix(h, static_cast<std::uint64_t>(e.pid) + 1);
-    h = mix(h, static_cast<std::uint64_t>(e.kind) + 1);
-    h = mix(h, e.label.size());
-    for (char c : e.label) h = mix(h, static_cast<unsigned char>(c));
-    h = mix(h, e.value.hash64());
+    h = mixDigest(h, static_cast<std::uint64_t>(e.time));
+    h = mixDigest(h, static_cast<std::uint64_t>(e.pid) + 1);
+    h = mixDigest(h, static_cast<std::uint64_t>(e.kind) + 1);
+    h = mixDigest(h, e.label.size());
+    for (char c : e.label) h = mixDigest(h, static_cast<unsigned char>(c));
+    h = mixDigest(h, e.value.hash64());
   }
   return h;
 }

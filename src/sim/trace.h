@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mix.h"
 #include "common/reg_val.h"
 #include "common/types.h"
 
@@ -84,9 +85,9 @@ class Trace {
   // Called by World::execute for every op; op_sig is a stable signature
   // of the operation's kind, target, and arguments.
   void mixOp(Time t, Pid p, std::uint64_t op_sig) {
-    op_digest_ = mix(op_digest_, static_cast<std::uint64_t>(t));
-    op_digest_ = mix(op_digest_, static_cast<std::uint64_t>(p) + 1);
-    op_digest_ = mix(op_digest_, op_sig);
+    op_digest_ = mixDigest(op_digest_, static_cast<std::uint64_t>(t));
+    op_digest_ = mixDigest(op_digest_, static_cast<std::uint64_t>(p) + 1);
+    op_digest_ = mixDigest(op_digest_, op_sig);
     ++ops_mixed_;
   }
 
@@ -95,7 +96,7 @@ class Trace {
   // diverging responses — a nondeterministic object implementation —
   // therefore still diverge in hash64().
   void mixResult(std::uint64_t result_sig) {
-    op_digest_ = mix(op_digest_, result_sig);
+    op_digest_ = mixDigest(op_digest_, result_sig);
   }
   [[nodiscard]] std::uint64_t opDigest() const { return op_digest_; }
   [[nodiscard]] std::uint64_t opsMixed() const { return ops_mixed_; }
@@ -114,13 +115,6 @@ class Trace {
   [[nodiscard]] std::string toString() const;
 
  private:
-  // One round of splitmix64-style mixing: cheap, stable across platforms.
-  static std::uint64_t mix(std::uint64_t h, std::uint64_t x) {
-    h ^= x + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h *= 0xFF51AFD7ED558CCDULL;
-    h ^= h >> 33;
-    return h;
-  }
   std::vector<Event> events_;
   std::uint64_t op_digest_ = 0xCBF29CE484222325ULL;  // FNV-1a offset basis
   std::uint64_t ops_mixed_ = 0;

@@ -1,6 +1,7 @@
 #include "sim/watchdog.h"
 
 #include <set>
+#include <span>
 #include <vector>
 
 #include "sim/chaos.h"
@@ -18,115 +19,51 @@ const char* runVerdictName(RunVerdict v) {
   return "?";
 }
 
-RunReport driveWatched(Run& run, SchedulePolicy& policy,
-                       const WatchdogConfig& wd, ChaosEngine* chaos) {
-  RunReport rep;
-  World& world = run.world();
-  Scheduler& sched = run.scheduler();
+namespace {
 
-  // Stale-snapshot injection (sim/chaos.h): route scan results through
-  // the engine. Installed only when configured, so every other run's
-  // scan path — and its trace — is untouched.
-  if (chaos != nullptr && chaos->wantsScanOverride()) {
-    world.setScanOverride([chaos](Pid p, ObjId obj) {
-      return chaos->overrideScan(p, obj);
-    });
-  }
-
-  // Online safety state: distinct decided values and per-process decision
-  // counts, maintained incrementally from the trace.
+// Online safety check: distinct decided values and per-process decision
+// counts, maintained incrementally from the trace. k = 0 disables it.
+struct SafetyObserver {
+  int k;
+  std::vector<int> decided;
   std::set<Value> distinct;
-  std::vector<int> decided(static_cast<std::size_t>(world.nProcs()), 0);
-  std::size_t scanned = 0;
-  Time last_progress = 0;
-  bool stop = false;
 
-  while (!stop) {
-    if (sched.allCorrectDone()) break;
-    if (rep.steps >= wd.step_budget) {
-      rep.verdict = RunVerdict::kBudgetExhausted;
-      rep.detail = "step budget " + std::to_string(wd.step_budget) +
-                   " exhausted before all correct processes finished";
-      break;
-    }
-    if (chaos != nullptr) chaos->beforeStep(world, sched);
-    const ProcSet runnable = sched.runnable();
-    if (runnable.empty()) break;  // every live process finished
-    const ProcSet pick_from =
-        chaos != nullptr ? chaos->filterRunnable(runnable, world, sched)
-                         : runnable;
-    const Pid p = policy.next(pick_from, world, sched.rng());
-    try {
-      sched.step(p);
-    } catch (const StepAuditError& e) {
-      rep.verdict = RunVerdict::kAxiomViolation;
-      rep.detail = e.what();
-      break;
-    }
-    ++rep.steps;
-
-    const auto& evs = world.trace().events();
-    const bool progressed = evs.size() > scanned;
-    for (; scanned < evs.size(); ++scanned) {
-      const Event& e = evs[scanned];
-      if (e.kind != EventKind::kDecide || wd.safety_k <= 0) continue;
+  bool onEvents(std::span<const Event> fresh, const DriveCursor&,
+                DriveOutcome& out) {
+    for (const Event& e : fresh) {
+      if (e.kind != EventKind::kDecide || k <= 0) continue;
       if (++decided[static_cast<std::size_t>(e.pid)] > 1) {
-        rep.verdict = RunVerdict::kSafetyViolation;
-        rep.detail = "process p" + std::to_string(e.pid) + " decided twice";
-        stop = true;
-        break;
+        out = {RunVerdict::kSafetyViolation,
+               "process p" + std::to_string(e.pid) + " decided twice"};
+        return true;
       }
       distinct.insert(e.value.asInt());
-      if (static_cast<int>(distinct.size()) > wd.safety_k) {
-        rep.verdict = RunVerdict::kSafetyViolation;
-        rep.detail = std::to_string(distinct.size()) +
-                     " distinct decisions exceed the k=" +
-                     std::to_string(wd.safety_k) + " agreement bound";
-        stop = true;
-        break;
+      if (static_cast<int>(distinct.size()) > k) {
+        out = {RunVerdict::kSafetyViolation,
+               std::to_string(distinct.size()) +
+                   " distinct decisions exceed the k=" + std::to_string(k) +
+                   " agreement bound"};
+        return true;
       }
     }
-    if (stop) break;
-    if (progressed) {
-      last_progress = rep.steps;
-    } else if (wd.livelock_window > 0 &&
-               rep.steps - last_progress >= wd.livelock_window) {
-      rep.verdict = RunVerdict::kLivelock;
-      rep.detail = "no new trace event in " +
-                   std::to_string(wd.livelock_window) +
-                   " steps with live processes still running";
-      break;
-    }
+    return false;
   }
+};
 
-  // Close the audit window now, unconditionally: the end-of-run FD-axiom
-  // conditions may raise StepAuditError in kThrow mode, and running them
-  // here (finalizeFdAxioms is idempotent) keeps run.finish() below from
-  // ever throwing. They demote an otherwise clean run; a run that already
-  // has a verdict keeps it.
-  try {
-    world.endAuditObservation();
-  } catch (const StepAuditError& e) {
-    // An illegal FD history must never hide behind a budget or livelock
-    // cutoff (negative controls demand 100% detection); only an already
-    // established safety violation outranks it.
-    if (rep.verdict != RunVerdict::kSafetyViolation) {
-      rep.verdict = RunVerdict::kAxiomViolation;
-      rep.detail = e.what();
-    }
-  }
-  // Collect-mode audits (explicitly requested by the config) report their
-  // findings as the same verdict, after the fact.
-  if (rep.verdict == RunVerdict::kOk) {
-    if (const StepAuditor* a = world.auditor();
-        a != nullptr && !a->clean()) {
-      rep.verdict = RunVerdict::kAxiomViolation;
-      rep.detail = a->violations().front().toString();
-    }
-  }
+}  // namespace
 
-  rep.result = run.finish(rep.steps);
-  return rep;
+RunReport driveWatched(Run& run, SchedulePolicy& policy,
+                       const WatchdogConfig& wd, ChaosEngine* chaos) {
+  SafetyObserver safety{
+      wd.safety_k,
+      std::vector<int>(static_cast<std::size_t>(run.world().nProcs()), 0),
+      {}};
+  DriveCursor at;
+  DriveOutcome out =
+      driveRun(run, policy, DriveLimits{wd.step_budget, wd.livelock_window},
+               at, chaos, safety);
+  return RunReport{out.verdict, std::move(out.detail), at.steps,
+                   run.finish(at.steps)};
 }
 
 }  // namespace wfd::sim

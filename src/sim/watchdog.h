@@ -22,26 +22,20 @@
 //                     trace event (decision, publish, note) for a whole
 //                     livelock window.
 //
-// The watchdog draws schedule decisions from the run's own policy RNG, so
-// a watched run with no chaos engine replays the exact schedule
-// Scheduler::run would have produced.
+// The watchdog is an instantiation of the one drive loop (sim/drive.h):
+// its observer is the online safety check, and it draws schedule
+// decisions from the run's own policy RNG, so a watched run with no chaos
+// engine replays the exact schedule Scheduler::run would have produced.
 #pragma once
 
 #include <string>
 
+#include "sim/drive.h"
 #include "sim/runner.h"
 
 namespace wfd::sim {
 
 class ChaosEngine;
-
-enum class RunVerdict {
-  kOk,
-  kSafetyViolation,
-  kAxiomViolation,
-  kBudgetExhausted,
-  kLivelock,
-};
 
 [[nodiscard]] const char* runVerdictName(RunVerdict v);
 

@@ -77,9 +77,6 @@ class World {
   using ScanOverride =
       std::function<std::optional<std::vector<RegVal>>(Pid, ObjId)>;
   void setScanOverride(ScanOverride f) { scan_override_ = std::move(f); }
-  [[nodiscard]] bool hasScanOverride() const {
-    return static_cast<bool>(scan_override_);
-  }
 
   ObjectTable& objects() { return objects_; }
   [[nodiscard]] const ObjectTable& objectsConst() const { return objects_; }

@@ -14,9 +14,17 @@
 //     is never asserted (bench_batch reports it);
 //   * isolation: a cell that throws after being stolen mid-campaign yields
 //     a structured error slot while every stolen neighbor completes.
+//
+// The StealPool suite holds the pool itself (sim/steal_pool.h), which
+// BatchRunner and the exploration frontier share, to its contract: every
+// index runs exactly once at any (count, workers, steal), and static mode
+// runs exactly the contiguous blocks and never steals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+
+#include "sim/steal_pool.h"
 
 #include "test_util.h"
 
@@ -179,6 +187,58 @@ TEST(BatchSteal, ThrowingCellIsIsolatedEvenWhenStolen) {
     if (i == 7) continue;
     EXPECT_FALSE(res[i].error) << "cell " << i << ": " << res[i].detail;
     EXPECT_EQ(res[i].trace_hash, serial[i].trace_hash) << "cell " << i;
+  }
+}
+
+// ---- StealPool ------------------------------------------------------------
+
+// Heavy-tailed per-index cost: every 64th index spins ~100x longer than
+// the rest, so a worker holding one falls behind and, with stealing on,
+// its neighbours take over the rest of its block.
+void spinFor(std::size_t i) {
+  const int iters = (i % 64 == 0) ? 20'000 : 200;
+  std::atomic<int> sink{0};
+  for (int k = 0; k < iters; ++k) sink.fetch_add(1, std::memory_order_relaxed);
+}
+
+TEST(StealPool, EveryIndexRunsExactlyOnce) {
+  for (const std::size_t count : {0u, 1u, 3u, 1000u}) {
+    for (int workers = 1; workers <= 4; ++workers) {
+      for (const bool steal : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "count=" << count << " workers="
+                                        << workers << " steal=" << steal);
+        const int used = static_cast<int>(
+            std::min<std::size_t>(count, static_cast<std::size_t>(workers)));
+        std::vector<std::atomic<int>> runs(count);
+        std::vector<std::atomic<int>> ran_on(count);
+        std::atomic<bool> worker_in_range{true};
+        const sim::StealPool::Stats st = sim::StealPool::run(
+            count, workers, steal, [&](std::size_t i, int w) {
+              if (w < 0 || w >= std::max(used, 1)) worker_in_range = false;
+              runs[i].fetch_add(1);
+              ran_on[i].store(w);
+              spinFor(i);
+            });
+        EXPECT_TRUE(worker_in_range.load());
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+        }
+        EXPECT_LE(st.steal_ops, st.stolen);
+        EXPECT_LE(st.stolen, count);
+        if (!steal) {
+          EXPECT_EQ(st.steal_ops, 0u);
+          EXPECT_EQ(st.stolen, 0u);
+          // Static sharding: worker k runs exactly its contiguous block.
+          const auto w = static_cast<std::size_t>(std::max(used, 1));
+          for (std::size_t k = 0; k < w; ++k) {
+            for (std::size_t i = count * k / w; i < count * (k + 1) / w; ++i) {
+              EXPECT_EQ(ran_on[i].load(), static_cast<int>(k))
+                  << "index " << i;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

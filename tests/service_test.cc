@@ -271,6 +271,32 @@ TEST(ServiceTest, VerdictTaxonomy) {
   EXPECT_EQ(rep.stats.retries, 2);
 }
 
+// A segment that goes quiet reaches a livelock verdict one window of
+// instance_step_budget steps after its last trace event, instead of
+// burning the whole segment budget. No stream of this service stays
+// undecided under the random policy (consensus is indulgent: even a
+// detector that never stabilizes lets k-converge commit by luck within a
+// few hundred steps), so the window here is set below one instance's
+// natural quiet stretch: every segment goes quiet before its first note.
+TEST(ServiceTest, QuietSegmentEndsInLivelockWithinOneWindow) {
+  ServiceConfig cfg;
+  cfg.instances = 4;
+  cfg.segment_len = 4;
+  cfg.instance_step_budget = 10;
+  cfg.segment_budget_slack = 10'000'000;
+  cfg.max_retries = 2;
+  const ServiceReport rep = runService(cfg);
+  EXPECT_EQ(rep.verdict, ServiceVerdict::kStalled);
+  EXPECT_EQ(rep.stats.committed, 0);
+  EXPECT_EQ(rep.stats.segments, cfg.max_retries + 1);
+  EXPECT_NE(rep.detail.find("last segment: livelock"), std::string::npos)
+      << rep.detail;
+  // Each segment ends exactly one window in, far below its budget of
+  // slack + len * instance_step_budget steps.
+  EXPECT_EQ(rep.stats.steps,
+            (cfg.max_retries + 1) * cfg.instance_step_budget);
+}
+
 TEST(ServiceTest, MisconfigurationThrows) {
   ServiceConfig cfg;
   cfg.group = 1;
