@@ -35,9 +35,10 @@
 //          kDpor refuses.
 //
 // Both modes share prefixes via Run checkpoint/restore instead of
-// replaying from step 0: a branch point stores a RunCheckpoint (COW-shared
-// RegVal payloads), and backtracking restores it in O(prefix) local replay
-// with zero shared-memory traffic.
+// replaying from step 0: a branch point stores a RunCheckpoint (shared
+// RegVal payloads and per-process result logs), and backtracking keeps
+// every coroutine frame that has not stepped since and rebuilds the rest
+// by local replay of their own prefixes, with zero shared-memory traffic.
 //
 // ---- Parallel frontier (cfg.jobs >= 1) ------------------------------------
 //

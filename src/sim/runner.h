@@ -79,8 +79,9 @@ class Run {
     return RunCheckpoint{world_->snapshot(), sched_->checkpoint()};
   }
   // Rewind (or fast-forward) this run to `ck`. Restores the world first,
-  // then rebuilds every process coroutine by local replay of its recorded
-  // result stream with trace recording muted (replayed free actions would
+  // then keeps every process coroutine that has not stepped since `ck`
+  // and rebuilds each other one by local replay of its recorded result
+  // stream with trace recording muted (replayed free actions would
   // otherwise re-record with wrong timestamps). After restore the run
   // continues exactly as a straight-line execution would have
   // (tests/golden_hash_test.cc holds it to bit-identical trace hashes).

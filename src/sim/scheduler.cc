@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <atomic>
 #include <cassert>
 
 #include "sim/drive.h"
@@ -10,6 +11,18 @@ ProcCtx*& currentProc() {
   thread_local ProcCtx* cur = nullptr;
   return cur;
 }
+
+namespace {
+
+// One counter for the whole OS process, so a frame id never matches a
+// frame of another Scheduler — restoring a checkpoint onto a different
+// Run (or thread) always replays.
+std::uint64_t nextFrameId() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
+}  // namespace
 
 // The policies below run once per simulated step, so they must not touch
 // the heap: rank-based selection via ProcSet::nth / nextAbove replaces the
@@ -64,6 +77,7 @@ void Scheduler::add(Pid p, Coro<Unit> coro) {
   auto slot = std::make_unique<Slot>();
   slot->ctx.pid = p;
   slot->coro = std::move(coro);
+  slot->frame = nextFrameId();
   slots_[static_cast<std::size_t>(p)] = std::move(slot);
   // Fold the newcomer into the cached liveness state.
   undone_.insert(p);
@@ -223,6 +237,14 @@ void Scheduler::step(Pid p) {
 
 // ---- Checkpoint/restore ---------------------------------------------------
 
+void ResultLog::release(Node* n) {
+  while (n != nullptr && n->holders.fetch_sub(1) == 1) {
+    Node* const prev = n->prev;
+    delete n;
+    n = prev;
+  }
+}
+
 void Scheduler::enableResultLog() {
   if (log_results_) return;
   if (world_->now() != 0) {
@@ -247,6 +269,7 @@ Scheduler::Checkpoint Scheduler::checkpoint() const {
     if (!slots_[i]) continue;
     const Slot& slot = *slots_[i];
     ProcCheckpoint& pc = ck.procs[i];
+    pc.frame = slot.frame;
     pc.started = slot.started;
     pc.done = slot.ctx.done;
     pc.crashed = slot.ctx.crashed;
@@ -261,6 +284,7 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
   auto slot = std::make_unique<Slot>();
   slot->ctx.pid = p;
   slot->coro = std::move(coro);
+  slot->frame = nextFrameId();
   if (pc.started) {
     slot->started = true;
     // Local replay: drive the fresh frame with the recorded result stream
@@ -272,18 +296,25 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
     } guard;
     currentProc() = &slot->ctx;
     slot->ctx.resume_point = slot->coro.handle();
-    std::size_t fed = 0;
-    for (;;) {
+    const auto runUntilBlockedOrDone = [&slot] {
       while (!slot->ctx.pending.has_value() && slot->ctx.resume_point) {
         const std::coroutine_handle<> h = slot->ctx.resume_point;
         h.resume();
       }
-      if (!slot->ctx.pending.has_value()) break;  // automaton returned
-      if (fed == pc.results.size()) break;        // parked at the next op
-      slot->ctx.result = pc.results[fed++];
+    };
+    runUntilBlockedOrDone();
+    bool diverged = false;
+    pc.results.forEach([&](const OpResult& r) {
+      if (diverged) return;
+      if (!slot->ctx.pending.has_value()) {
+        diverged = true;  // the automaton returned with results left over
+        return;
+      }
+      slot->ctx.result = r;
       slot->ctx.pending.reset();
-    }
-    if (fed != pc.results.size() || slot->coro.done() != pc.done) {
+      runUntilBlockedOrDone();
+    });
+    if (diverged || slot->coro.done() != pc.done) {
       // A deterministic automaton replays exactly; divergence means local
       // nondeterminism (unseeded randomness, address-dependent branching).
       throw SimAbort("checkpoint restore: p" + std::to_string(p + 1) +
@@ -302,15 +333,31 @@ void Scheduler::restore(const Checkpoint& ck,
   if (!log_results_) {
     throw SimAbort("Scheduler::restore requires enableResultLog()");
   }
-  assert(ck.procs.size() == slots_.size() &&
-         "checkpoint from a differently-shaped run");
+  if (ck.procs.size() != slots_.size()) {
+    throw SimAbort("checkpoint restore: checkpoint of a " +
+                   std::to_string(ck.procs.size()) +
+                   "-process run restored onto a run of " +
+                   std::to_string(slots_.size()) + " processes");
+  }
   undone_ = ProcSet{};
   for (std::size_t i = 0; i < ck.procs.size(); ++i) {
     const Pid p = static_cast<Pid>(i);
-    restoreSlot(p, make_coro(p), ck.procs[i]);
-    if (!ck.procs[i].done) undone_.insert(p);
-    result_log_[i] = ck.procs[i].results;
-    result_digest_[i] = ck.procs[i].result_digest;
+    const ProcCheckpoint& pc = ck.procs[i];
+    Slot* const live = slots_[i].get();
+    if (live != nullptr && live->frame == pc.frame &&
+        live->ctx.steps == pc.steps) {
+      // The checkpointed coroutine, not stepped since: keep it, and its
+      // log, which is still the checkpoint's. The audit hook captured the
+      // auditor World::restore just replaced; step() installs a new one.
+      live->ctx.done = pc.done;
+      live->ctx.crashed = pc.crashed;
+      live->ctx.on_op_requested = nullptr;
+    } else {
+      restoreSlot(p, make_coro(p), pc);
+      result_log_[i] = pc.results;
+      result_digest_[i] = pc.result_digest;
+    }
+    if (!pc.done) undone_.insert(p);
   }
   rng_ = ck.rng;
   // Contract: the caller restored the world first, so the rebuild sees

@@ -9,9 +9,12 @@
 // exactly the power the paper's adversary has.
 #pragma once
 
+#include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -88,6 +91,63 @@ class FnPolicy : public SchedulePolicy {
   Fn fn_;
 };
 
+// The operation results one process has consumed, in program order.
+//
+// A persistent list: each result sits in its own immutable node, which
+// holds a counted reference to the node before it, and a log is one
+// counted reference to its newest node. Copying a log (a checkpoint) is
+// one reference-count increment, and an append allocates a node and never
+// writes to one that exists, so no holder sees a write — a checkpoint
+// restored on another thread included.
+class ResultLog {
+ public:
+  ResultLog() = default;
+  ResultLog(const ResultLog& o) noexcept : tail_(o.tail_) { retain(tail_); }
+  ResultLog(ResultLog&& o) noexcept : tail_(std::exchange(o.tail_, nullptr)) {}
+  ResultLog& operator=(ResultLog o) noexcept {
+    std::swap(tail_, o.tail_);
+    return *this;
+  }
+  ~ResultLog() {
+    if (tail_ != nullptr) release(tail_);
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    return tail_ == nullptr ? 0 : tail_->size;
+  }
+  // The log's reference to the old newest node moves into the new one.
+  void push_back(const OpResult& r) { tail_ = new Node{r, tail_, size() + 1}; }
+
+  // f(result) for every result in program order.
+  template <class F>
+  void forEach(F&& f) const {
+    std::vector<const OpResult*> newest_first;
+    newest_first.reserve(size());
+    for (const Node* n = tail_; n != nullptr; n = n->prev) {
+      newest_first.push_back(&n->result);
+    }
+    for (auto it = newest_first.rbegin(); it != newest_first.rend(); ++it) {
+      f(**it);
+    }
+  }
+
+ private:
+  struct Node {
+    OpResult result;
+    Node* prev = nullptr;  // this node holds one reference to it
+    std::size_t size = 0;  // results up to and including this one
+    std::atomic<long> holders{1};  // logs and nodes referring to this one
+  };
+  static void retain(Node* n) {
+    if (n != nullptr) n->holders.fetch_add(1);
+  }
+  // Drops one reference; frees the nodes it was the last holder of
+  // iteratively, so a long log cannot overflow the stack.
+  static void release(Node* n);
+
+  Node* tail_ = nullptr;
+};
+
 class Scheduler {
  public:
   Scheduler(World* world, std::uint64_t seed) : world_(world), rng_(seed) {}
@@ -124,13 +184,18 @@ class Scheduler {
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
   //
   // Coroutine frames cannot be copied, so a checkpoint stores, per
-  // process, the stream of operation RESULTS it has consumed. restore()
-  // rebuilds each frame by re-running the (deterministic) automaton
-  // against that stream — a purely local replay that never touches the
-  // world: no World::execute, no clock advance, no trace traffic.
+  // process, the stream of operation RESULTS it has consumed (a shared
+  // ResultLog, not a copy) plus the id of its live coroutine frame.
+  // restore() keeps every frame that has not stepped since the
+  // checkpoint and rebuilds each other one by re-running the
+  // (deterministic) automaton against its stream — a purely local replay
+  // that never touches the world: no World::execute, no clock advance, no
+  // trace traffic. A restore thus costs O(processes that stepped since the
+  // checkpoint), each one its own prefix of local steps.
 
   // Capture per-process result streams from here on. Must be called
-  // before the first step; costs one OpResult copy per step when on.
+  // before the first step; costs one log node (an OpResult copy) per step
+  // when on.
   void enableResultLog();
   [[nodiscard]] bool resultLogEnabled() const { return log_results_; }
 
@@ -143,11 +208,16 @@ class Scheduler {
   }
 
   struct ProcCheckpoint {
+    // Id of the process's coroutine frame when the checkpoint was taken.
+    // Ids are unique within the OS process: a fresh one is issued for
+    // every frame add() or restore() creates, so a live frame with this
+    // id and `steps` is the checkpointed coroutine at the same point.
+    std::uint64_t frame = 0;
     bool started = false;
     bool done = false;
     bool crashed = false;
     Time steps = 0;
-    std::vector<OpResult> results;  // consumed results, program order
+    ResultLog results;  // consumed results, program order
     std::uint64_t result_digest = 0;
   };
   struct Checkpoint {
@@ -158,11 +228,15 @@ class Scheduler {
   // Requires enableResultLog() to have been active since step one.
   [[nodiscard]] Checkpoint checkpoint() const;
 
-  // Rebuild every process slot from `ck`; `make_coro` supplies a fresh
-  // coroutine per pid (Run binds its algorithm + proposal). CONTRACT: the
-  // caller restores the World to the matching snapshot BEFORE calling
-  // this (replayed naming must resolve against the checkpointed object
-  // table) and mutes the trace around it (replayed free actions re-fire).
+  // Bring every process back to `ck`: a frame that has not stepped since
+  // the checkpoint is kept; each other one is rebuilt from a fresh
+  // coroutine supplied by `make_coro` (Run binds its algorithm +
+  // proposal). A checkpoint from another Run never matches a live frame,
+  // so it is a full replay; one from a run with a different process count
+  // throws SimAbort. CONTRACT: the caller restores the World to the
+  // matching snapshot BEFORE calling this (replayed naming must resolve
+  // against the checkpointed object table) and mutes the trace around it
+  // (replayed free actions re-fire).
   void restore(const Checkpoint& ck,
                const std::function<Coro<Unit>(Pid)>& make_coro);
 
@@ -181,6 +255,7 @@ class Scheduler {
     ProcCtx ctx;
     Coro<Unit> coro;
     bool started = false;
+    std::uint64_t frame = 0;  // see ProcCheckpoint::frame
   };
 
   // Bring the cached liveness state up to date with the world clock and
@@ -206,7 +281,7 @@ class Scheduler {
 
   // Checkpoint support: per-process consumed-result streams + digests.
   bool log_results_ = false;
-  std::vector<std::vector<OpResult>> result_log_;
+  std::vector<ResultLog> result_log_;
   std::vector<std::uint64_t> result_digest_;
 
   // Cached liveness, maintained by add()/step() and the lazy syncs above.

@@ -2,6 +2,8 @@
 // scheduling policies, determinism, trace bookkeeping, object table.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "test_util.h"
 
 namespace wfd {
@@ -271,6 +273,180 @@ TEST(Trace, PublishedAtTracksLatestPerProcess) {
   const auto at9 = tr.publishedAt(9, 2);
   EXPECT_EQ(at9[0].asInt(), 2);
   EXPECT_EQ(at9[1].asInt(), 3);
+}
+
+// ---- Checkpoint/restore ----------------------------------------------------
+
+// Snapshot updates, scans and register writes, so every result stream
+// mixes scalar and vector results.
+Coro<Unit> mixer(Env& env, int rounds) {
+  const sim::ObjId s = env.snap(ObjKey{"mix"}, env.nProcs());
+  const sim::ObjId r = env.reg(ObjKey{"acc", env.me()});
+  Value acc = env.me() + 1;
+  for (int i = 0; i < rounds; ++i) {
+    co_await env.snapUpdate(s, env.me(), RegVal(acc));
+    const std::vector<RegVal> view = (co_await env.snapScan(s)).snapshot;
+    for (const RegVal& v : view) {
+      if (!v.isBottom()) acc = (acc * 31 + v.asInt()) % 1'000'003;
+    }
+    co_await env.write(r, RegVal(acc));
+  }
+  env.decide(acc);
+  co_return Unit{};
+}
+
+sim::AlgoFn mixerAlgo() {
+  return [](Env& e, Value) { return mixer(e, 6); };
+}
+
+// Steps `run` from global step `from` until every process finished or
+// step `until`, taking at step k the (k * stride mod |runnable|)-th
+// runnable pid. Different strides give different schedules.
+Time driveStride(sim::Run& run, Time from, int stride,
+                 Time until = 1'000'000) {
+  Time k = from;
+  while (k < until && !run.scheduler().allCorrectDone()) {
+    const ProcSet r = run.scheduler().runnable();
+    run.scheduler().step(r.nth(static_cast<int>((k * stride) % r.size())));
+    ++k;
+  }
+  return k;
+}
+
+// Trace hash of the straight-line run: stride `first` up to step `at`,
+// then stride `then` to the end.
+std::uint64_t straightHash(const RunConfig& cfg, Time at, int first,
+                           int then) {
+  sim::Run run(cfg, mixerAlgo(), {0, 0, 0});
+  driveStride(run, driveStride(run, 0, first, at), then);
+  EXPECT_TRUE(run.scheduler().allCorrectDone());
+  return run.world().trace().hash64();
+}
+
+TEST(CheckpointRestore, ProcessThatDidNotStepKeepsItsFrame) {
+  RunConfig cfg;
+  sim::Run run(cfg, mixerAlgo(), {0, 0, 0});
+  run.enableCheckpoints();
+  const Time mid = driveStride(run, 0, 5, 27);
+  ASSERT_EQ(mid, 27);
+  ASSERT_GT(run.scheduler().ctx(2).steps, 0);
+  ASSERT_FALSE(run.scheduler().ctx(2).done);
+  const sim::RunCheckpoint ck = run.checkpoint();
+  const sim::ProcCtx* const p1 = &run.scheduler().ctx(0);
+  const sim::ProcCtx* const p3 = &run.scheduler().ctx(2);
+  for (int i = 0; i < 4; ++i) {
+    run.scheduler().step(0);
+    run.scheduler().step(1);
+  }
+  run.restore(ck);
+  // p3 never stepped after the checkpoint: same frame, same log. p1 did,
+  // so it was rebuilt (its new slot is allocated while the old one lives).
+  EXPECT_EQ(&run.scheduler().ctx(2), p3);
+  EXPECT_NE(&run.scheduler().ctx(0), p1);
+  EXPECT_EQ(run.scheduler().resultDigest(2), ck.sched.procs[2].result_digest);
+  EXPECT_EQ(run.scheduler().ctx(2).steps, ck.sched.procs[2].steps);
+  driveStride(run, mid, 5);
+  EXPECT_EQ(run.world().trace().hash64(), straightHash(cfg, mid, 5, 5));
+}
+
+TEST(CheckpointRestore, BranchesNeverWriteIntoSharedLogs) {
+  // A and B share their log prefixes; branch off A, then go back to B,
+  // then to A again. An append that wrote into shared log storage would
+  // hand one branch the other's results, and its replay would diverge.
+  RunConfig cfg;
+  constexpr Time kA = 10;
+  constexpr Time kB = 20;
+  const std::uint64_t main_line = straightHash(cfg, kA, 5, 5);
+  const std::uint64_t branch = straightHash(cfg, kA, 5, 7);
+  ASSERT_NE(main_line, branch);
+
+  sim::Run run(cfg, mixerAlgo(), {0, 0, 0});
+  run.enableCheckpoints();
+  ASSERT_EQ(driveStride(run, 0, 5, kA), kA);
+  const sim::RunCheckpoint ck_a = run.checkpoint();
+  ASSERT_EQ(driveStride(run, kA, 5, kB), kB);
+  const sim::RunCheckpoint ck_b = run.checkpoint();
+
+  run.restore(ck_a);
+  driveStride(run, kA, 7);
+  EXPECT_EQ(run.world().trace().hash64(), branch);
+  run.restore(ck_b);
+  driveStride(run, kB, 5);
+  EXPECT_EQ(run.world().trace().hash64(), main_line);
+  run.restore(ck_a);
+  driveStride(run, kA, 7);
+  EXPECT_EQ(run.world().trace().hash64(), branch);
+}
+
+TEST(CheckpointRestore, KeptFrameReportsToTheNewAuditor) {
+  // World::restore replaces the auditor. A kept frame's audit hook still
+  // points at the old one; restore must drop it so the next step installs
+  // a hook on the new auditor (a stale hook is a use-after-free that the
+  // ASan build reports).
+  RunConfig cfg;
+  cfg.audit = sim::AuditMode::kThrow;
+  sim::Run run(cfg, mixerAlgo(), {0, 0, 0});
+  run.enableCheckpoints();
+  run.scheduler().step(0);
+  const sim::RunCheckpoint ck = run.checkpoint();
+  const sim::ProcCtx* const p1 = &run.scheduler().ctx(0);
+  run.scheduler().step(1);
+  run.restore(ck);
+  ASSERT_EQ(&run.scheduler().ctx(0), p1);
+  run.scheduler().step(0);
+  const sim::StepAuditor* const audit = run.world().auditor();
+  ASSERT_NE(audit, nullptr);
+  EXPECT_EQ(audit->stepsAudited(), 1);
+  EXPECT_TRUE(audit->clean()) << audit->report();
+
+  sim::Run straight(cfg, mixerAlgo(), {0, 0, 0});
+  straight.scheduler().step(0);
+  straight.scheduler().step(0);
+  driveStride(straight, 2, 5);
+  driveStride(run, 2, 5);
+  EXPECT_EQ(run.world().trace().hash64(), straight.world().trace().hash64());
+}
+
+TEST(CheckpointRestore, CheckpointIsSharedAcrossThreads) {
+  // One checkpoint, restored on two threads at once while each keeps
+  // appending to logs that share the checkpoint's nodes.
+  RunConfig cfg;
+  constexpr Time kAt = 15;
+  sim::Run origin(cfg, mixerAlgo(), {0, 0, 0});
+  origin.enableCheckpoints();
+  ASSERT_EQ(driveStride(origin, 0, 5, kAt), kAt);
+  const sim::RunCheckpoint ck = origin.checkpoint();
+  const auto branchHash = [&](int stride) {
+    sim::Run run(cfg, mixerAlgo(), {0, 0, 0});
+    run.enableCheckpoints();
+    std::uint64_t h = 0;
+    for (int round = 0; round < 3; ++round) {
+      run.restore(ck);
+      driveStride(run, kAt, stride);
+      h = run.world().trace().hash64();
+    }
+    return h;
+  };
+  std::uint64_t other = 0;
+  std::thread t([&] { other = branchHash(7); });
+  driveStride(origin, kAt, 3);  // the origin's logs grow meanwhile too
+  const std::uint64_t mine = branchHash(5);
+  t.join();
+  EXPECT_EQ(mine, straightHash(cfg, kAt, 5, 5));
+  EXPECT_EQ(other, straightHash(cfg, kAt, 5, 7));
+  EXPECT_EQ(origin.world().trace().hash64(), straightHash(cfg, kAt, 5, 3));
+}
+
+TEST(CheckpointRestore, CheckpointOfAnotherProcessCountThrows) {
+  RunConfig three;
+  sim::Run small(three, mixerAlgo(), {0, 0, 0});
+  small.enableCheckpoints();
+  small.scheduler().step(0);
+  RunConfig four;
+  four.n_plus_1 = 4;
+  sim::Run big(four, mixerAlgo(), {0, 0, 0, 0});
+  big.enableCheckpoints();
+  EXPECT_THROW(big.restore(small.checkpoint()), sim::SimAbort);
 }
 
 TEST(FailurePattern, EnvironmentMembership) {
