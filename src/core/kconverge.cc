@@ -14,6 +14,7 @@ RegVal makeEntry(bool tag_c, Value v, const std::vector<Value>& u) {
   uset.reserve(u.size());
   for (Value x : u) uset.emplace_back(x);
   std::vector<RegVal> e;
+  e.reserve(3);
   e.emplace_back(tag_c);
   e.emplace_back(v);
   e.push_back(RegVal::tuple(std::move(uset)));

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <string>
 
 #include "memory/snapshot.h"
@@ -100,22 +99,22 @@ SnapshotHandle makeSnapshot(ObjKey key, int slots, SnapshotFlavor flavor) {
   return SnapshotHandle{std::move(key), slots, flavor};
 }
 
-Coro<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h, int slot,
-                          const RegVal& v) {
+SnapshotAwait<Unit> snapshotUpdate(Env& env, const SnapshotHandle& h,
+                                   int slot, const RegVal& v) {
   assert(slot >= 0 && slot < h.slots);
   if (h.flavor == SnapshotFlavor::kAfek) {
-    co_return co_await afekUpdate(env, h, slot, v);
+    return SnapshotAwait<Unit>(afekUpdate(env, h, slot, v));
   }
-  co_await env.snapUpdate(env.snap(h.key, h.slots), slot, v);
-  co_return Unit{};
+  return SnapshotAwait<Unit>(env.snapUpdate(env.snap(h.key, h.slots), slot, v));
 }
 
-Coro<std::vector<RegVal>> snapshotScan(Env& env, const SnapshotHandle& h) {
+SnapshotAwait<std::vector<RegVal>> snapshotScan(Env& env,
+                                                const SnapshotHandle& h) {
   if (h.flavor == SnapshotFlavor::kAfek) {
-    co_return co_await afekScan(env, h);
+    return SnapshotAwait<std::vector<RegVal>>(afekScan(env, h));
   }
-  auto r = co_await env.snapScan(env.snap(h.key, h.slots));
-  co_return std::move(r.snapshot);
+  return SnapshotAwait<std::vector<RegVal>>(
+      env.snapScan(env.snap(h.key, h.slots)));
 }
 
 int nonBottomCount(const std::vector<RegVal>& slots) {
@@ -127,11 +126,14 @@ int nonBottomCount(const std::vector<RegVal>& slots) {
 }
 
 std::vector<Value> distinctValues(const std::vector<RegVal>& slots) {
-  std::set<Value> s;
+  std::vector<Value> out;
+  out.reserve(slots.size());
   for (const auto& v : slots) {
-    if (v.isInt()) s.insert(v.asInt());
+    if (v.isInt()) out.push_back(v.asInt());
   }
-  return {s.begin(), s.end()};
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 Value minValue(const std::vector<RegVal>& slots) {

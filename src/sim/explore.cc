@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -48,14 +49,49 @@ bool inSleep(const std::vector<SleepEnt>& sleep, Pid p) {
                      [p](const SleepEnt& se) { return se.pid == p; });
 }
 
-// One executed step on the current DFS path.
+// One executed step on the current DFS path. Its vector clocks live in
+// the walk's ClockStack, in the row of the step's index.
 struct StepX {
   Pid pid = -1;
   OpFootprint fp;
   bool visible = false;   // emitted a kDecide/kPublish event
   int proc_seq = 0;       // 1-based index among pid's steps
-  std::vector<int> clock;       // vector clock of this step (inclusive)
-  std::vector<int> prev_clock;  // pid's clock before it (for unwinding)
+};
+
+// The vector clocks of the DFS path, in flat buffers of n ints per row:
+// row i of the step rows is the clock of step i (inclusive), row i of the
+// prev rows the stepping process's clock before step i (for unwinding),
+// and row p of the process rows p's current clock. Step rows grow with
+// the deepest path seen and are overwritten from then on, so a step
+// copies clocks between rows and never allocates one; any process count
+// ProcSet holds fits.
+class ClockStack {
+ public:
+  ClockStack() = default;
+  explicit ClockStack(int n)
+      : n_(static_cast<std::size_t>(n)), proc_(n_ * n_, 0), past_(n_) {}
+
+  // Make the step and prev rows of step i exist: the path is this deep
+  // for the first time. Invalidates pointers to rows.
+  void reach(std::size_t i) {
+    if (step_.size() < (i + 1) * n_) {
+      step_.resize((i + 1) * n_);
+      prev_.resize((i + 1) * n_);
+    }
+  }
+  int* proc(Pid p) { return proc_.data() + static_cast<std::size_t>(p) * n_; }
+  int* step(std::size_t i) { return step_.data() + i * n_; }
+  int* prev(std::size_t i) { return prev_.data() + i * n_; }
+  int* past() { return past_.data(); }
+  // Step i (by process p) is popped: p's clock goes back to its prev row.
+  void unwind(std::size_t i, Pid p) { std::copy_n(prev(i), n_, proc(p)); }
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<int> proc_;
+  std::vector<int> step_;
+  std::vector<int> prev_;
+  std::vector<int> past_;  // the causal-past row of the FD epoch check
 };
 
 // One branch point: the state BEFORE choosing a step at this depth.
@@ -65,7 +101,7 @@ struct Node {
   ProcSet to_explore;  // kDpor: dynamically grown backtrack set
   ProcSet done;        // explored (or sleep-skipped) from here
   std::vector<SleepEnt> sleep;
-  std::set<std::uint64_t> sub_sigs;  // outcome sigs of the subtree so far
+  std::set<std::uint64_t> sub_sigs;  // kDag memo: outcome sigs of the subtree
   std::uint64_t digest = 0;          // kDag memo key
 };
 
@@ -119,28 +155,38 @@ std::uint64_t fullStateDigest(Run& run, int n, bool audit_table) {
   return h;
 }
 
-// Collect the terminal state's observable outcome: all recorded events
-// grouped per process (program order within a process; pid order across).
-ExploreOutcome harvestOutcome(Run& run, int n) {
-  ExploreOutcome o;
-  const auto& events = run.world().trace().events();
-  std::vector<std::vector<const Event*>> per(static_cast<std::size_t>(n));
-  for (const Event& e : events) {
-    if (e.pid < 0 || e.pid >= n) continue;
-    per[static_cast<std::size_t>(e.pid)].push_back(&e);
-    if (e.kind == EventKind::kDecide) o.decisions[e.pid] = e.value.asInt();
-  }
+// A terminal state's observable outcome is all recorded events grouped
+// per process (program order within a process; pid order across). Its
+// signature is computed from the trace in place; the outcome itself is
+// built only for a signature not seen before.
+std::uint64_t outcomeSig(const std::vector<Event>& events, int n) {
   std::uint64_t h = 0x452821E638D01377ULL;
   for (int p = 0; p < n; ++p) {
     h = mixDigest(h, static_cast<std::uint64_t>(p) + 0xABCDULL);
-    for (const Event* e : per[static_cast<std::size_t>(p)]) {
-      h = mixDigest(h, static_cast<std::uint64_t>(e->kind) + 1);
-      h = mixDigest(h, labelHash(e->label));
-      h = mixDigest(h, e->value.hash64());
-      o.events.push_back(*e);
+    for (const Event& e : events) {
+      if (e.pid != p) continue;
+      h = mixDigest(h, static_cast<std::uint64_t>(e.kind) + 1);
+      h = mixDigest(h, labelHash(e.label));
+      h = mixDigest(h, e.value.hash64());
     }
   }
-  o.sig = h;
+  return h;
+}
+
+ExploreOutcome harvestOutcome(const std::vector<Event>& events, int n,
+                              std::uint64_t sig) {
+  ExploreOutcome o;
+  o.sig = sig;
+  for (const Event& e : events) {
+    if (e.pid >= 0 && e.pid < n && e.kind == EventKind::kDecide) {
+      o.decisions[e.pid] = e.value.asInt();
+    }
+  }
+  for (int p = 0; p < n; ++p) {
+    for (const Event& e : events) {
+      if (e.pid == p) o.events.push_back(e);
+    }
+  }
   return o;
 }
 
@@ -167,11 +213,11 @@ struct FdEpochCtx {
 };
 
 struct CapturedJob {
-  std::vector<Pid> prefix;               // pid per prefix step
-  std::vector<StepX> steps;              // full prefix step stack
-  std::vector<std::vector<int>> clocks;  // per-proc clocks after prefix
-  std::vector<SleepEnt> sleep;           // frontier node's sleep set
-  std::uint64_t seq = 0;                 // DFS unit number at creation
+  std::vector<Pid> prefix;      // pid per prefix step
+  std::vector<StepX> steps;     // full prefix step stack
+  ClockStack clocks;            // the prefix steps' clocks and per-proc ones
+  std::vector<SleepEnt> sleep;  // frontier node's sleep set
+  std::uint64_t seq = 0;        // DFS unit number at creation
 };
 
 constexpr std::uint64_t kNoSeq = std::numeric_limits<std::uint64_t>::max();
@@ -199,6 +245,7 @@ WalkOut walk(const WalkSpec& spec) {
   const bool capture = spec.capture_depth >= 1;
   // Phase 1 must not memoize: its subtrees are captured, not explored, so
   // a node's sub_sigs never describe the full subtree a memo entry claims.
+  // Without the memo nothing reads sub_sigs, so nothing fills them.
   const bool use_memo = !dpor && cfg.memoize && !capture;
   const bool audit = resolvedAuditMode(cfg.run.audit).has_value();
   const int base =
@@ -210,11 +257,31 @@ WalkOut walk(const WalkSpec& spec) {
   Run run(cfg.run, *spec.algo, *spec.proposals);
   run.enableCheckpoints();
 
-  std::vector<Node> path;
+  // The DFS path is nodes[0, path_len). A popped node stays in the deque
+  // with its buffers, and the next push at its depth reuses them: the
+  // checkpoint is copy-assigned into vectors sized on an earlier visit,
+  // so no node allocates one. A deque never moves its elements, so the
+  // current node stays valid across the push of its child.
+  std::deque<Node> nodes;
+  std::size_t path_len = 0;
+  const auto pushNode = [&]() -> Node& {
+    if (path_len == nodes.size()) nodes.emplace_back();
+    Node& node = nodes[path_len++];
+    node.enabled = ProcSet{};
+    node.to_explore = ProcSet{};
+    node.done = ProcSet{};
+    node.sleep.clear();
+    node.sub_sigs.clear();
+    node.digest = 0;
+    return node;
+  };
   std::vector<StepX> steps;
-  std::vector<std::vector<int>> clocks(
-      static_cast<std::size_t>(n),
-      std::vector<int>(static_cast<std::size_t>(n), 0));
+  ClockStack clocks(n);
+  const auto popStep = [&] {
+    const std::size_t i = steps.size() - 1;
+    clocks.unwind(i, steps[i].pid);
+    steps.pop_back();
+  };
   if (spec.job != nullptr) {
     // Replay the captured prefix by stepping: the worker owns a fresh
     // Run/World/Scheduler stack, so the replay is this job's only
@@ -233,12 +300,14 @@ WalkOut walk(const WalkSpec& spec) {
 
   const auto harvestTerminal = [&](Node& cur) -> bool {
     // Returns true when the caller should abort the whole walk.
-    ExploreOutcome o = harvestOutcome(run, n);
+    const std::vector<Event>& events = run.world().trace().events();
+    const std::uint64_t sig = outcomeSig(events, n);
     ++res.schedules_explored;
-    cur.sub_sigs.insert(o.sig);
-    const std::uint64_t sig = o.sig;
-    auto [it, inserted] = res.outcomes.emplace(sig, std::move(o));
-    (void)inserted;
+    if (use_memo) cur.sub_sigs.insert(sig);
+    auto it = res.outcomes.find(sig);
+    if (it == res.outcomes.end()) {
+      it = res.outcomes.emplace(sig, harvestOutcome(events, n, sig)).first;
+    }
     bool violated = false;
     if (cfg.property && res.verdict == ExploreVerdict::kVerified) {
       const std::string v = cfg.property(it->second);
@@ -274,8 +343,8 @@ WalkOut walk(const WalkSpec& spec) {
   // Initial node. A run can be terminal before its first step only in
   // degenerate configurations (no processes).
   {
-    Node root;
-    root.ckpt = run.checkpoint();
+    Node& root = pushNode();
+    run.checkpointInto(root.ckpt);
     root.enabled = run.scheduler().runnable();
     if (spec.job != nullptr) root.sleep = spec.job->sleep;
     if (!dpor) {
@@ -291,12 +360,11 @@ WalkOut walk(const WalkSpec& spec) {
       harvestTerminal(root);
       return out;
     }
-    path.push_back(std::move(root));
   }
 
-  while (!path.empty()) {
-    Node& cur = path.back();
-    const int d = static_cast<int>(path.size()) - 1;
+  while (path_len > 0) {
+    Node& cur = nodes[path_len - 1];
+    const int d = static_cast<int>(path_len) - 1;
 
     // Pick the next candidate transition at this node.
     Pid p = -1;
@@ -322,14 +390,15 @@ WalkOut walk(const WalkSpec& spec) {
                                                 cur.sub_sigs.end()));
       }
       if (d > 0) {
-        Node& parent = path[static_cast<std::size_t>(d) - 1];
-        parent.sub_sigs.insert(cur.sub_sigs.begin(), cur.sub_sigs.end());
+        Node& parent = nodes[static_cast<std::size_t>(d) - 1];
+        if (use_memo) {
+          parent.sub_sigs.insert(cur.sub_sigs.begin(), cur.sub_sigs.end());
+        }
         const StepX& in = steps.back();
         if (dpor) parent.sleep.push_back(SleepEnt{in.pid, in.fp, in.visible});
-        clocks[static_cast<std::size_t>(in.pid)] = in.prev_clock;
-        steps.pop_back();
+        popStep();
       }
-      path.pop_back();
+      --path_len;
       continue;
     }
 
@@ -377,18 +446,17 @@ WalkOut walk(const WalkSpec& spec) {
       // would inflate the past with steps a stable query does not depend
       // on and certify queries the refined relation then reorders.
       fp.fd_epoch = 0;
-      std::vector<int> past = clocks[static_cast<std::size_t>(p)];
-      for (const StepX& si : steps) {
+      int* const past = clocks.past();
+      std::copy_n(clocks.proc(p), n, past);
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        const StepX& si = steps[i];
         if (si.pid == p) continue;  // program order is already in `past`
         if (!dependent(si.fp, si.visible, fp, visible)) continue;
-        for (int q = 0; q < n; ++q) {
-          past[static_cast<std::size_t>(q)] =
-              std::max(past[static_cast<std::size_t>(q)],
-                       si.clock[static_cast<std::size_t>(q)]);
-        }
+        const int* const sc = clocks.step(i);
+        for (int q = 0; q < n; ++q) past[q] = std::max(past[q], sc[q]);
       }
       long long past_steps = 0;
-      for (const int c : past) past_steps += c;
+      for (int q = 0; q < n; ++q) past_steps += past[q];
       if (past_steps < spec.fdctx.tau) fp.fd_epoch = kFdEpochUnstable;
     }
 
@@ -396,26 +464,28 @@ WalkOut walk(const WalkSpec& spec) {
     // Flanagan–Godefroid dynamic backtracking: for every earlier step
     // dependent with this one but not ordered before it by the prefix's
     // happens-before relation, the reversal is a genuine race — make the
-    // pre-state of that step schedule this process too.
-    const std::vector<int> pre_clock = clocks[static_cast<std::size_t>(p)];
-    std::vector<int> now_clock = pre_clock;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
+    // pre-state of that step schedule this process too. The new step's
+    // clocks are written straight into its rows of the clock stack.
+    const std::size_t k = steps.size();
+    clocks.reach(k);
+    int* const pre_clock = clocks.prev(k);
+    int* const now_clock = clocks.step(k);
+    std::copy_n(clocks.proc(p), n, pre_clock);
+    std::copy_n(pre_clock, n, now_clock);
+    for (std::size_t i = 0; i < k; ++i) {
       const StepX& si = steps[i];
       if (si.pid == p) continue;  // program order is already in pre_clock
       if (!dependent(si.fp, si.visible, fp, visible)) continue;
-      for (int q = 0; q < n; ++q) {
-        now_clock[static_cast<std::size_t>(q)] =
-            std::max(now_clock[static_cast<std::size_t>(q)],
-                     si.clock[static_cast<std::size_t>(q)]);
-      }
+      const int* const sc = clocks.step(i);
+      for (int q = 0; q < n; ++q) now_clock[q] = std::max(now_clock[q], sc[q]);
       if (!dpor) continue;
-      if (pre_clock[static_cast<std::size_t>(si.pid)] >= si.proc_seq) {
+      if (pre_clock[si.pid] >= si.proc_seq) {
         continue;  // si happens-before p's transition: order is forced
       }
       if (i < static_cast<std::size_t>(base)) {
         continue;  // prefix node: eagerly seeded, the addition is a no-op
       }
-      Node& nj = path[i - static_cast<std::size_t>(base)];
+      Node& nj = nodes[i - static_cast<std::size_t>(base)];
       if (nj.enabled.contains(p)) {
         nj.to_explore.insert(p);
       } else {
@@ -423,24 +493,9 @@ WalkOut walk(const WalkSpec& spec) {
         nj.to_explore = nj.to_explore.unionWith(nj.enabled);
       }
     }
-    now_clock[static_cast<std::size_t>(p)] += 1;
-    {
-      StepX st;
-      st.pid = p;
-      st.fp = fp;
-      st.visible = visible;
-      st.proc_seq = now_clock[static_cast<std::size_t>(p)];
-      st.prev_clock = pre_clock;
-      st.clock = now_clock;
-      clocks[static_cast<std::size_t>(p)] = std::move(now_clock);
-      steps.push_back(std::move(st));
-    }
-
-    const auto popStep = [&] {
-      const StepX& in = steps.back();
-      clocks[static_cast<std::size_t>(in.pid)] = in.prev_clock;
-      steps.pop_back();
-    };
+    now_clock[p] += 1;
+    std::copy_n(now_clock, n, clocks.proc(p));
+    steps.push_back(StepX{p, fp, visible, now_clock[p]});
 
     const bool all_done = run.scheduler().allCorrectDone();
     const bool blocked = !all_done && run.scheduler().runnable().empty();
@@ -505,8 +560,8 @@ WalkOut walk(const WalkSpec& spec) {
         continue;
       }
     }
-    Node child;
-    child.ckpt = run.checkpoint();
+    Node& child = pushNode();
+    run.checkpointInto(child.ckpt);
     child.enabled = run.scheduler().runnable();
     child.digest = digest;
     if (dpor) {
@@ -522,7 +577,6 @@ WalkOut walk(const WalkSpec& spec) {
     } else {
       child.to_explore = child.enabled;
     }
-    path.push_back(std::move(child));
   }
 
   if (use_memo) res.states_memoized = memo.size();

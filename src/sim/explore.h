@@ -36,9 +36,10 @@
 //
 // Both modes share prefixes via Run checkpoint/restore instead of
 // replaying from step 0: a branch point stores a RunCheckpoint (shared
-// RegVal payloads and per-process result logs), and backtracking keeps
-// every coroutine frame that has not stepped since and rebuilds the rest
-// by local replay of their own prefixes, with zero shared-memory traffic.
+// RegVal payloads and per-process result logs), written into storage the
+// DFS keeps per depth and reuses, and backtracking keeps every coroutine
+// frame that has not stepped since and rebuilds the rest by local replay
+// of their own prefixes, with zero shared-memory traffic.
 //
 // ---- Parallel frontier (cfg.jobs >= 1) ------------------------------------
 //

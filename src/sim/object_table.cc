@@ -85,7 +85,7 @@ ObjId ObjectTable::insertNew(const ObjKey& key, std::uint64_t hash,
   placeSlot({hash, id});
   keys_.push_back(key);
   objects_.push_back(std::move(obj));
-  xdigest_ ^= objectComponent(id, objects_.back());
+  toggleComponent(id);
   return id;
 }
 
@@ -147,9 +147,9 @@ void ObjectTable::write(ObjId id, RegVal v) {
   observe(id, ObjectAccess::kWrite);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kRegister);
-  xdigest_ ^= objectComponent(id, obj);
+  toggleComponent(id);
   obj.reg = std::move(v);
-  xdigest_ ^= objectComponent(id, obj);
+  toggleComponent(id);
 }
 
 const std::vector<RegVal>& ObjectTable::scan(ObjId id) const {
@@ -163,16 +163,16 @@ void ObjectTable::update(ObjId id, int slot, RegVal v) {
   observe(id, ObjectAccess::kUpdate);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kSnapshot);
-  xdigest_ ^= objectComponent(id, obj);
+  toggleComponent(id);
   obj.slots.at(static_cast<std::size_t>(slot)) = std::move(v);
-  xdigest_ ^= objectComponent(id, obj);
+  toggleComponent(id);
 }
 
 RegVal ObjectTable::propose(ObjId id, Pid proposer, RegVal v) {
   observe(id, ObjectAccess::kPropose);
   auto& obj = objects_.at(static_cast<std::size_t>(id));
   assert(obj.kind == Kind::kConsensus);
-  xdigest_ ^= objectComponent(id, obj);
+  toggleComponent(id);
   if (!obj.proposers.contains(proposer)) {
     obj.proposers.insert(proposer);
     assert(obj.proposers.size() <= obj.ports &&
@@ -180,7 +180,7 @@ RegVal ObjectTable::propose(ObjId id, Pid proposer, RegVal v) {
            "object accepts at most m distinct proposers");
   }
   if (obj.reg.isBottom()) obj.reg = std::move(v);  // first proposal wins
-  xdigest_ ^= objectComponent(id, obj);
+  toggleComponent(id);
   return obj.reg;
 }
 

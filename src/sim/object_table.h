@@ -120,9 +120,11 @@ class ObjectTable {
   // ---- Checkpoint/restore (sim/explore.h prefix sharing) ----
   // A Snapshot copies the flat name index, the key vector and the object
   // vector; the RegVal payloads inside (tuple cells) are immutable shared
-  // arrays, so the copy shares them — O(1) per stored value. The access
-  // observer is part of the *run's* wiring, not the memory state, and
-  // survives a restore.
+  // arrays, so the copy shares them — O(1) per stored value. snapshotInto
+  // copy-assigns into the snapshot's existing vectors, so a snapshot
+  // reused for a table no larger than the one it last held allocates
+  // nothing. The access observer is part of the *run's* wiring, not the
+  // memory state, and survives a restore.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -132,20 +134,26 @@ class ObjectTable {
     std::vector<IndexSlot> index;
     std::vector<ObjKey> keys;
     std::vector<Object> objects;
+    bool xdigest_on = false;
     std::uint64_t xdigest = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
+  void snapshotInto(Snapshot& s) const {
     s.index = index_;
     s.keys = keys_;
     s.objects = objects_;
+    s.xdigest_on = xdigest_on_;
     s.xdigest = xdigest_;
+  }
+  [[nodiscard]] Snapshot snapshot() const {
+    Snapshot s;
+    snapshotInto(s);
     return s;
   }
   void restore(const Snapshot& s) {
     index_ = s.index;
     keys_ = s.keys;
     objects_ = s.objects;
+    xdigest_on_ = s.xdigest_on;
     xdigest_ = s.xdigest;
   }
 
@@ -156,13 +164,22 @@ class ObjectTable {
   // produced it, so schedules converging to the same memory agree on it.
   [[nodiscard]] std::uint64_t contentsDigest() const;
 
-  // Order-insensitive XOR-of-components digest of the same contents,
-  // maintained INCREMENTALLY: every mutating access (write/update/
-  // propose) and every object creation re-mixes only the touched object's
-  // component, so reading it is O(1) per explorer step instead of the
-  // O(table) full re-hash contentsDigest() pays. Same state-key
-  // semantics: depends only on the contents, never on the op order.
-  [[nodiscard]] std::uint64_t xorContentsDigest() const { return xdigest_; }
+  // Order-insensitive XOR-of-components digest of the same contents.
+  // Maintained only once asked for: the first call computes it in full,
+  // and from then on every mutating access (write/update/propose) and
+  // every object creation re-mixes only the touched object's component,
+  // so each later read is O(1) instead of the O(table) full re-hash
+  // contentsDigest() pays. Tables nobody asks (every run outside the
+  // explorer's kDag memo) never pay the per-mutation re-hash. Same
+  // state-key semantics: depends only on the contents, never on the op
+  // order.
+  [[nodiscard]] std::uint64_t xorContentsDigest() const {
+    if (!xdigest_on_) {
+      xdigest_ = xorContentsDigestFull();
+      xdigest_on_ = true;
+    }
+    return xdigest_;
+  }
   // Full recompute of the incremental digest, for audit cross-checks
   // (the explorer compares it against the maintained value under
   // WFD_AUDIT and aborts on divergence).
@@ -191,6 +208,12 @@ class ObjectTable {
   // mutation and back in after, so xdigest_ tracks the whole table.
   [[nodiscard]] static std::uint64_t objectComponent(ObjId id,
                                                      const Object& obj);
+  // XOR object `id`'s current component into the digest, if it is kept.
+  void toggleComponent(ObjId id) {
+    if (xdigest_on_) {
+      xdigest_ ^= objectComponent(id, objects_[static_cast<std::size_t>(id)]);
+    }
+  }
 
   // ---- Name index ----
   // Open addressing with linear probing over a power-of-two slot array
@@ -207,7 +230,11 @@ class ObjectTable {
   std::vector<IndexSlot> index_;
   std::vector<ObjKey> keys_;  // by ObjId
   std::vector<Object> objects_;
-  std::uint64_t xdigest_ = 0;
+  // The XOR digest and whether it is kept yet. Mutable because turning it
+  // on is part of reading it; each table is confined to one thread (its
+  // run's), so the const read needs no synchronization.
+  mutable bool xdigest_on_ = false;
+  mutable std::uint64_t xdigest_ = 0;
   AccessObserver* observer_ = nullptr;
 };
 

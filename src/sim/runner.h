@@ -75,8 +75,20 @@ class Run {
   // Opt-in because checkpoints need the scheduler's result log from step
   // one. Call right after construction, before any step.
   void enableCheckpoints() { sched_->enableResultLog(); }
+  // Overwrite `ck` with this run's current point. Every part is
+  // copy-assigned into the storage `ck` already has, so a checkpoint
+  // written into one that last held an equal or larger state — the
+  // explorer keeps one per DFS depth — allocates nothing. The storage may
+  // come from any Run; restoring it stays exact (tests/sim_runtime_test.cc
+  // CheckpointRestore.*).
+  void checkpointInto(RunCheckpoint& ck) const {
+    world_->snapshotInto(ck.world);
+    sched_->checkpointInto(ck.sched);
+  }
   [[nodiscard]] RunCheckpoint checkpoint() const {
-    return RunCheckpoint{world_->snapshot(), sched_->checkpoint()};
+    RunCheckpoint ck;
+    checkpointInto(ck);
+    return ck;
   }
   // Rewind (or fast-forward) this run to `ck`. Restores the world first,
   // then keeps every process coroutine that has not stepped since `ck`

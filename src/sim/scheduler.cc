@@ -257,16 +257,18 @@ void Scheduler::enableResultLog() {
   result_digest_.assign(slots_.size(), 0);
 }
 
-Scheduler::Checkpoint Scheduler::checkpoint() const {
+void Scheduler::checkpointInto(Checkpoint& ck) const {
   if (!log_results_) {
     throw SimAbort(
-        "Scheduler::checkpoint requires enableResultLog() from step one");
+        "Scheduler::checkpointInto requires enableResultLog() from step one");
   }
-  Checkpoint ck;
   ck.rng = rng_;
   ck.procs.resize(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i]) continue;
+    if (!slots_[i]) {
+      ck.procs[i] = ProcCheckpoint{};
+      continue;
+    }
     const Slot& slot = *slots_[i];
     ProcCheckpoint& pc = ck.procs[i];
     pc.frame = slot.frame;
@@ -277,7 +279,6 @@ Scheduler::Checkpoint Scheduler::checkpoint() const {
     pc.results = result_log_[i];
     pc.result_digest = result_digest_[i];
   }
-  return ck;
 }
 
 void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
@@ -304,7 +305,7 @@ void Scheduler::restoreSlot(Pid p, Coro<Unit> coro, const ProcCheckpoint& pc) {
     };
     runUntilBlockedOrDone();
     bool diverged = false;
-    pc.results.forEach([&](const OpResult& r) {
+    pc.results.forEach(replay_order_, [&](const OpResult& r) {
       if (diverged) return;
       if (!slot->ctx.pending.has_value()) {
         diverged = true;  // the automaton returned with results left over

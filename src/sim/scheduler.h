@@ -118,17 +118,16 @@ class ResultLog {
   // The log's reference to the old newest node moves into the new one.
   void push_back(const OpResult& r) { tail_ = new Node{r, tail_, size() + 1}; }
 
-  // f(result) for every result in program order.
+  // f(result) for every result in program order. The list links newest
+  // to oldest, so the walk collects pointers first; `buf` holds them and
+  // keeps its capacity for the caller's next walk.
   template <class F>
-  void forEach(F&& f) const {
-    std::vector<const OpResult*> newest_first;
-    newest_first.reserve(size());
+  void forEach(std::vector<const OpResult*>& buf, F&& f) const {
+    buf.clear();
     for (const Node* n = tail_; n != nullptr; n = n->prev) {
-      newest_first.push_back(&n->result);
+      buf.push_back(&n->result);
     }
-    for (auto it = newest_first.rbegin(); it != newest_first.rend(); ++it) {
-      f(**it);
-    }
+    for (auto it = buf.rbegin(); it != buf.rend(); ++it) f(**it);
   }
 
  private:
@@ -226,7 +225,10 @@ class Scheduler {
   };
 
   // Requires enableResultLog() to have been active since step one.
-  [[nodiscard]] Checkpoint checkpoint() const;
+  // Overwrites `ck` in place: once its per-process vector has held this
+  // run's process count, a checkpoint is a reference-count move per
+  // process and allocates nothing.
+  void checkpointInto(Checkpoint& ck) const;
 
   // Bring every process back to `ck`: a frame that has not stepped since
   // the checkpoint is kept; each other one is rebuilt from a fresh
@@ -283,6 +285,9 @@ class Scheduler {
   bool log_results_ = false;
   std::vector<ResultLog> result_log_;
   std::vector<std::uint64_t> result_digest_;
+  // Pointer buffer of the replay's ResultLog::forEach walk, reused by
+  // every rebuilt slot.
+  std::vector<const OpResult*> replay_order_;
 
   // Cached liveness, maintained by add()/step() and the lazy syncs above.
   // Mutable because runnable()/allCorrectDone() are conceptually const:

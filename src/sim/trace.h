@@ -56,6 +56,10 @@ class Trace {
   // contract.
   void setMuted(bool m) { muted_ = m; }
 
+  // A Snapshot copies every event. snapshotInto copy-assigns into the
+  // snapshot's existing event vector (and each event's label buffer), so
+  // a snapshot reused for a trace no longer than the one it last held
+  // allocates nothing.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -66,12 +70,10 @@ class Trace {
     std::uint64_t op_digest = 0;
     std::uint64_t ops_mixed = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
+  void snapshotInto(Snapshot& s) const {
     s.events = events_;
     s.op_digest = op_digest_;
     s.ops_mixed = ops_mixed_;
-    return s;
   }
   void restore(const Snapshot& s) {
     events_ = s.events;

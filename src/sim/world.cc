@@ -60,15 +60,13 @@ void World::enableAudit(AuditMode mode) {
   objects_.setObserver(audit_.get());
 }
 
-World::Snapshot World::snapshot() const {
-  Snapshot s;
+void World::snapshotInto(Snapshot& s) const {
   s.now = now_;
   s.fp_version = fp_version_;
   s.fp = fp_;
   s.published = published_;
-  s.objects = objects_.snapshot();
-  s.trace = trace_.snapshot();
-  return s;
+  objects_.snapshotInto(s.objects);
+  trace_.snapshotInto(s.trace);
 }
 
 void World::restore(const Snapshot& s) {

@@ -98,7 +98,10 @@ class World {
   // FD-output emulations. RegVal tuple payloads are immutable shared
   // arrays, so copying the table/trace shares them (copy-on-write by
   // construction). The FD itself is NOT captured: histories are stateless
-  // functions of (seed, p, t), per common/rng.h.
+  // functions of (seed, p, t), per common/rng.h. snapshotInto
+  // copy-assigns every part into the snapshot's existing storage, so
+  // writing a world into a snapshot that last held a larger one (the
+  // explorer reuses one per DFS depth) allocates nothing.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -112,7 +115,7 @@ class World {
     ObjectTable::Snapshot objects;
     Trace::Snapshot trace;
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  void snapshotInto(Snapshot& s) const;
   // Restoring does not touch the attached auditor's mode, but replaces the
   // auditor instance: stale per-run audit state must not outlive a rewind.
   void restore(const Snapshot& s);

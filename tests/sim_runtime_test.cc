@@ -449,6 +449,128 @@ TEST(CheckpointRestore, CheckpointOfAnotherProcessCountThrows) {
   EXPECT_THROW(big.restore(small.checkpoint()), sim::SimAbort);
 }
 
+// Each round names a fresh snapshot object one slot larger than the
+// last and a fresh register, and notes its result, so a later state has
+// more objects, larger snapshot objects, more trace events and longer
+// result logs than an earlier one.
+Coro<Unit> grower(Env& env, int rounds) {
+  Value acc = env.me() + 1;
+  for (int r = 0; r < rounds; ++r) {
+    const sim::ObjId s = env.snap(ObjKey{"grow.s", r}, env.nProcs() + r);
+    const sim::ObjId g = env.reg(ObjKey{"grow.r", r, env.me()});
+    co_await env.snapUpdate(s, env.me(), RegVal(acc));
+    const std::vector<RegVal> view = (co_await env.snapScan(s)).snapshot;
+    for (const RegVal& v : view) {
+      if (!v.isBottom()) acc = (acc * 31 + v.asInt()) % 1'000'003;
+    }
+    co_await env.write(g, RegVal(acc));
+    env.note("round", RegVal(acc));
+  }
+  env.decide(acc);
+  co_return Unit{};
+}
+
+sim::AlgoFn growerAlgo() {
+  return [](Env& e, Value) { return grower(e, 5); };
+}
+
+// What a finished grower run must agree on: its trace hash, the id of
+// every object it named, and both contents digests.
+struct GrowerEnd {
+  std::uint64_t trace = 0;
+  std::vector<sim::ObjId> ids;
+  std::uint64_t xor_digest = 0;
+  std::uint64_t contents = 0;
+  bool operator==(const GrowerEnd&) const = default;
+};
+
+GrowerEnd growerEnd(sim::Run& run) {
+  EXPECT_TRUE(run.scheduler().allCorrectDone());
+  sim::ObjectTable& tbl = run.world().objects();
+  const int n = run.world().nProcs();
+  GrowerEnd end;
+  end.trace = run.world().trace().hash64();
+  end.xor_digest = tbl.xorContentsDigest();
+  EXPECT_EQ(end.xor_digest, tbl.xorContentsDigestFull());
+  end.contents = tbl.contentsDigest();
+  // Every key exists by now, so naming it only looks its id up.
+  const std::size_t objects = tbl.objectCount();
+  for (int r = 0; r < 5; ++r) {
+    end.ids.push_back(tbl.snapId(ObjKey{"grow.s", r}, n + r));
+    for (Pid p = 0; p < n; ++p) {
+      end.ids.push_back(tbl.regId(ObjKey{"grow.r", r, p}));
+    }
+  }
+  EXPECT_EQ(tbl.objectCount(), objects);
+  return end;
+}
+
+constexpr Time kGrowShallow = 9;
+
+// The straight-line run: stride 5 up to kGrowShallow, then stride 7.
+GrowerEnd growerStraight() {
+  sim::Run run(RunConfig{}, growerAlgo(), {0, 0, 0});
+  driveStride(run, driveStride(run, 0, 5, kGrowShallow), 7);
+  return growerEnd(run);
+}
+
+TEST(CheckpointRestore, ShallowCheckpointIntoDeepStorageIsExact) {
+  sim::Run run(RunConfig{}, growerAlgo(), {0, 0, 0});
+  run.enableCheckpoints();
+  ASSERT_EQ(driveStride(run, 0, 5, kGrowShallow), kGrowShallow);
+  const sim::RunCheckpoint shallow = run.checkpoint();
+  const std::size_t shallow_objects = run.world().objectsConst().objectCount();
+  const std::size_t shallow_events = run.world().trace().events().size();
+  const Time shallow_steps = run.scheduler().ctx(0).steps;
+  (void)run.world().objectsConst().xorContentsDigest();  // kept from here
+  driveStride(run, kGrowShallow, 5);
+
+  // The storage last held the finished run: more and larger objects, more
+  // events, longer logs, and a kept XOR digest, which the shallow state
+  // written over it does not keep yet.
+  sim::RunCheckpoint ck;
+  run.checkpointInto(ck);
+  ASSERT_GT(run.world().objectsConst().objectCount(), shallow_objects);
+  ASSERT_GT(run.world().trace().events().size(), shallow_events);
+  ASSERT_GT(run.scheduler().ctx(0).steps, shallow_steps);
+  run.restore(shallow);
+  run.checkpointInto(ck);
+
+  driveStride(run, kGrowShallow, 3);  // move the live run elsewhere
+  run.restore(ck);
+  EXPECT_EQ(run.world().now(), kGrowShallow);
+  driveStride(run, kGrowShallow, 7);
+  EXPECT_EQ(growerEnd(run), growerStraight());
+}
+
+TEST(CheckpointRestore, StorageOfAnotherRunReplaysEveryProcess) {
+  // The storage comes from `donor`, which ran another schedule to the
+  // end; `run` writes its shallow state over it, and the checkpoint is
+  // restored onto the donor, where no frame id matches: every process
+  // is rebuilt by full replay.
+  sim::Run donor(RunConfig{}, growerAlgo(), {0, 0, 0});
+  donor.enableCheckpoints();
+  driveStride(donor, 0, 3);
+  sim::RunCheckpoint ck;
+  donor.checkpointInto(ck);
+
+  sim::Run run(RunConfig{}, growerAlgo(), {0, 0, 0});
+  run.enableCheckpoints();
+  ASSERT_EQ(driveStride(run, 0, 5, kGrowShallow), kGrowShallow);
+  (void)run.world().objectsConst().xorContentsDigest();  // the donor's isn't
+  run.checkpointInto(ck);
+
+  const sim::ProcCtx* before[3];
+  for (Pid p = 0; p < 3; ++p) before[p] = &donor.scheduler().ctx(p);
+  donor.restore(ck);
+  for (Pid p = 0; p < 3; ++p) {
+    EXPECT_NE(&donor.scheduler().ctx(p), before[p]) << "p" << p + 1;
+    EXPECT_EQ(donor.scheduler().ctx(p).steps, run.scheduler().ctx(p).steps);
+  }
+  driveStride(donor, kGrowShallow, 7);
+  EXPECT_EQ(growerEnd(donor), growerStraight());
+}
+
 TEST(FailurePattern, EnvironmentMembership) {
   const auto fp = FailurePattern::withCrashes(5, {{0, 10}, {3, 20}});
   EXPECT_FALSE(fp.inEnvironment(1));
